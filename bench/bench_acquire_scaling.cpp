@@ -14,6 +14,12 @@
 // for repeat-run determinism and reported as batch_quant_speedup, the
 // ratio the CI perf gate pins.
 //
+// A stress-profiling A/B times SboxExperiment::stressProfile() (lane
+// groups on the batch engine) against the sequential reference EventSim
+// chain it replaced (bench/stress_reference.h), one thread each, and
+// requires bit-identical profiles: stress_speedup and stress_bit_identical
+// are what the CI perf gate pins.
+//
 // Under --profile the run additionally attaches the cost-attribution
 // profiler (obs/profiler.h): the report's "profile" block then carries the
 // per-net top-K, the batch engine's lane-occupancy histograms (mean popped/
@@ -48,6 +54,7 @@
 #include <unistd.h>
 
 #include "bench_util.h"
+#include "stress_reference.h"
 
 namespace {
 
@@ -381,6 +388,44 @@ int main(int argc, char** argv) {
     report.setParam("batch_quant_mean_committed_lanes",
                     qp.meanCommittedLanes());
   }
+
+  // Stress A/B: the reference EventSim chain vs stressProfile() on the
+  // batch engine, both single-threaded so the ratio is pure engine cost.
+  // stressProfile() caches, so every repetition profiles a fresh
+  // experiment (its construction is outside the timed region).
+  // Repetitions are interleaved against frequency drift; the two profiles
+  // must match bit for bit.
+  std::printf("\nstress profiling A/B (reference chain vs batch, 1 thread):\n");
+  ExperimentConfig scfg;
+  scfg.acquisition.numThreads = 1;
+  double secsStressRef = 1e300, secsStressBat = 1e300;
+  bool stressIdentical = true;
+  {
+    obs::PhaseTimer phase(report, "ab.stress");
+    for (int rep = 0; rep < 11; ++rep) {
+      SboxExperiment fresh(SboxStyle::Glut, scfg);
+      const DelayModel delays(fresh.sbox().netlist(), scfg.delay);
+      StressProfile ref;
+      secsStressRef = std::min(secsStressRef, bench::bestOf(1, [&] {
+        ref = bench::referenceStressProfile(fresh.sbox(), delays, scfg.sim,
+                                            scfg.stressCycles,
+                                            scfg.stressSeed);
+      }));
+      const StressProfile* bat = nullptr;
+      secsStressBat = std::min(secsStressBat, bench::bestOf(1, [&] {
+        bat = &fresh.stressProfile();
+      }));
+      stressIdentical = stressIdentical && bench::bitIdentical(ref, *bat);
+    }
+  }
+  allIdentical = allIdentical && stressIdentical;
+  const double stressSpeedup = secsStressRef / secsStressBat;
+  std::printf(
+      "  reference %.4fs, batch %.4fs (%u cycles, %.2fx), bit-ident %s\n",
+      secsStressRef, secsStressBat, scfg.stressCycles, stressSpeedup,
+      stressIdentical ? "yes" : "NO");
+  report.setParam("stress_speedup", stressSpeedup);
+  report.setParam("stress_bit_identical", obs::Json(stressIdentical));
 
   // Profiler A/B (only under --profile): same batch acquisition with the
   // cost-attribution profiler attached vs detached. Pure-sink contract:

@@ -6,6 +6,16 @@
 // complement stresses the NMOS network) and how often it toggles per clock
 // cycle (HCI). Profiles are accumulated from representative operation:
 // settled states contribute duty, event logs contribute toggle counts.
+//
+// Cycles of a profiling chain are independent of one another. A run drains
+// the event queue, and the netlists are acyclic (validateOrThrow rejects
+// combinational cycles), so the state a cycle leaves behind is exactly the
+// combinational evaluation of its inputs — what settle() on those inputs
+// establishes. Cycle c of a chain over stimuli x[0..C] is therefore the
+// standalone pair settle(x[c]), run(x[c+1]), and any partition of the
+// cycles over lanes and workers tallies the same integer counts. Partial
+// accumulators combine with merge(); finalize() is the only division, so the
+// profile is bit-identical however the cycles were split.
 
 #include <cstdint>
 #include <vector>
@@ -28,6 +38,10 @@ class StressAccumulator {
 
   /// Accounts the transitions of one evaluation cycle.
   void addTransitions(const std::vector<Transition>& transitions);
+
+  /// Adds another accumulator's tallies (exact integer sums, so merge order
+  /// never matters). Throws std::invalid_argument on a net count mismatch.
+  void merge(const StressAccumulator& other);
 
   /// Number of settled states seen so far.
   std::uint64_t states() const { return states_; }

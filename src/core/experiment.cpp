@@ -1,10 +1,14 @@
 #include "core/experiment.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
+#include "sim/batch_sim.h"
+#include "sim/compiled_design.h"
 #include "trace/prng.h"
+#include "trace/sharded_pool.h"
 
 namespace lpa {
 
@@ -24,26 +28,56 @@ const StressProfile& SboxExperiment::stressProfile() {
   if (!stress_) {
     obs::Span span("stress.profile (" + std::string(sbox_->name()) + ", " +
                    std::to_string(cfg_.stressCycles) + " cycles)");
-    StressAccumulator acc(sbox_->netlist().numGates());
-    Prng rng(cfg_.stressSeed);
-    EventSim sim(sbox_->netlist(), delays_, cfg_.sim);
-    if (cfg_.observe) sim.attachMetrics(&obs::MetricsRegistry::global());
+    const std::size_t numGates = sbox_->netlist().numGates();
+    const std::size_t cycles = cfg_.stressCycles;
     // Representative field operation: random texts with fresh masks each
-    // cycle; duty comes from the settled states, toggles from the events.
-    std::vector<std::uint8_t> prev = sbox_->encode(rng.nibble(), rng);
-    sim.settle(prev);
-    for (std::uint32_t c = 0; c < cfg_.stressCycles; ++c) {
-      const std::vector<std::uint8_t> next = sbox_->encode(rng.nibble(), rng);
-      const std::vector<Transition> tr = sim.run(next);
-      acc.addTransitions(tr);
-      // Record the settled state of this cycle.
-      std::vector<std::uint8_t> state(sbox_->netlist().numGates());
-      for (NetId i = 0; i < sbox_->netlist().numGates(); ++i) {
-        state[i] = sim.value(i);
-      }
-      acc.addSettledState(state);
+    // cycle, drawn serially from one stream. Cycle c settles on stimulus c
+    // and runs stimulus c + 1; duty comes from the settled states, toggles
+    // from the events. The cycles are independent (aging/stress.h), so lane
+    // l of group g is cycle 64g + l and the groups shard over the pool.
+    Prng rng(cfg_.stressSeed);
+    std::vector<std::vector<std::uint8_t>> stimuli(cycles + 1);
+    for (std::vector<std::uint8_t>& x : stimuli) {
+      x = sbox_->encode(rng.nibble(), rng);
     }
-    stress_ = std::make_unique<StressProfile>(acc.finalize());
+    const CompiledDesign design(sbox_->netlist(), delays_, power_);
+    SimOptions opts = cfg_.sim;
+    opts.timeQuantization = TimeQuantization::Exact;
+    BatchSim proto(design, opts);
+    if (cfg_.observe) proto.attachMetrics(&obs::MetricsRegistry::global());
+    const std::size_t numGroups =
+        (cycles + BatchSim::kLanes - 1) / BatchSim::kLanes;
+    const std::uint32_t threads =
+        resolveWorkerThreads(cfg_.acquisition.numThreads, numGroups);
+    std::vector<StressAccumulator> tallies(threads,
+                                           StressAccumulator(numGates));
+    detail::shardedForEachClone(
+        proto, numGroups, threads,
+        [&](BatchSim& sim, std::uint32_t w, std::size_t g) {
+          const auto first = stimuli.begin() + g * BatchSim::kLanes;
+          const std::size_t lanes = std::min<std::size_t>(
+              BatchSim::kLanes, cycles - g * BatchSim::kLanes);
+          sim.settle({first, first + lanes});
+          sim.run({first + 1, first + lanes + 1});
+          std::vector<std::uint8_t> state(numGates);
+          for (std::uint32_t l = 0; l < lanes; ++l) {
+            tallies[w].addTransitions(sim.laneTransitions(l));
+            for (NetId i = 0; i < numGates; ++i) state[i] = sim.value(i, l);
+            tallies[w].addSettledState(state);
+          }
+        },
+        [&](std::size_t g) {
+          return "stress cycles [" + std::to_string(g * BatchSim::kLanes) +
+                 ", " +
+                 std::to_string(std::min<std::size_t>(
+                     cycles, (g + 1) * BatchSim::kLanes)) +
+                 ") (style " + std::string(sbox_->name()) + ")";
+        },
+        nullptr, "stress.profile");
+    for (std::size_t w = 1; w < tallies.size(); ++w) {
+      tallies[0].merge(tallies[w]);
+    }
+    stress_ = std::make_unique<StressProfile>(tallies[0].finalize());
   }
   return *stress_;
 }

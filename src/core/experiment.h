@@ -27,7 +27,12 @@ struct ExperimentConfig {
   DelayOptions delay;
   AgingParams aging;
   SimOptions sim;
-  std::uint32_t stressCycles = 512;       ///< cycles for duty/toggle profile
+  /// Cycles of the duty/toggle profile. The cycles are independent — on an
+  /// acyclic netlist a drained run leaves exactly the state evaluate(inputs)
+  /// would settle on — so stressProfile() simulates them as 64-lane groups
+  /// on the batch engine over `acquisition.numThreads` workers; the profile
+  /// is bit-identical to a sequential chain for every thread count.
+  std::uint32_t stressCycles = 512;
   std::uint64_t stressSeed = 0x57E55ULL;
   /// Attach the simulator and power model to obs::MetricsRegistry::global()
   /// (sim.* / power.* counters). A pure sink: results are bit-identical
@@ -59,6 +64,9 @@ class SboxExperiment {
   const ExperimentConfig& config() const { return cfg_; }
 
   /// Field-stress profile (random operation), computed once and cached.
+  /// Runs on the batch engine and the acquisition worker pool, but is not
+  /// an acquisition: its spans are "stress.profile ...", its simulator
+  /// counters land in sim.batch.*, and acquire.* is left untouched.
   const StressProfile& stressProfile();
 
   /// Collects the paper's 1024-trace balanced dataset with the device aged

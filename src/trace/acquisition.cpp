@@ -101,6 +101,18 @@ struct JournalAcquireScope {
   }
 };
 
+/// Concatenates per-worker shards in worker (= index) order; a single
+/// shard is the result itself.
+TraceSet mergeShards(std::vector<TraceSet>& shards, std::size_t n,
+                     const char* spanLabel) {
+  if (shards.size() == 1) return std::move(shards[0]);
+  obs::Span mergeSpan(std::string(spanLabel) + " merge shards");
+  TraceSet traces(shards[0].numSamples());
+  traces.reserve(n);
+  for (const TraceSet& shard : shards) traces.append(shard);
+  return traces;
+}
+
 /// Runs `body(sim, i, shard)` for every trace index in [0, n), sharded over
 /// `threads` workers in contiguous index blocks, and concatenates the
 /// per-worker shards in index order. `body` must depend only on the trace
@@ -125,33 +137,18 @@ TraceSet shardedAcquire(Sim& sim, std::uint32_t numSamples,
                         {"threads", std::to_string(threads)}});
   JournalAcquireScope journalScope{spanLabel};
 
-  TraceSet traces(numSamples);
-  traces.reserve(n);
-  if (threads <= 1) {
-    detail::shardedFor(
-        n, 1, [&](std::uint32_t, std::size_t i) { body(sim, i, traces); },
-        describe, &meter, spanLabel);
-    meter.finish();
-    return traces;
-  }
-
-  std::vector<Sim> sims;
-  sims.reserve(threads);
   std::vector<TraceSet> shards(threads, TraceSet(numSamples));
   for (std::uint32_t w = 0; w < threads; ++w) {
-    sims.push_back(sim.clone());
     shards[w].reserve(n * (w + 1) / threads - n * w / threads);
   }
-  detail::shardedFor(
-      n, threads,
-      [&](std::uint32_t w, std::size_t i) { body(sims[w], i, shards[w]); },
+  detail::shardedForEachClone(
+      sim, n, threads,
+      [&](Sim& worker, std::uint32_t w, std::size_t i) {
+        body(worker, i, shards[w]);
+      },
       describe, &meter, spanLabel);
   meter.finish();
-  {
-    obs::Span mergeSpan(std::string(spanLabel) + " merge shards");
-    for (const TraceSet& shard : shards) traces.append(shard);
-  }
-  return traces;
+  return mergeShards(shards, n, spanLabel);
 }
 
 /// Batch-engine twin of shardedAcquire: the sharded work item is a *lane
@@ -190,42 +187,21 @@ TraceSet shardedBatchAcquire(BatchSim& proto, std::uint32_t numSamples,
                                  numTraces - g * BatchSim::kLanes);
   };
 
-  TraceSet traces(numSamples);
-  traces.reserve(numTraces);
-  if (threads <= 1) {
-    detail::shardedFor(
-        numGroups, 1,
-        [&](std::uint32_t, std::size_t g) {
-          body(proto, g, traces);
-          meter.step(lanesOf(g) - 1);
-        },
-        describe, &meter, spanLabel);
-    meter.finish();
-    return traces;
-  }
-
-  std::vector<BatchSim> sims;
-  sims.reserve(threads);
   std::vector<TraceSet> shards(threads, TraceSet(numSamples));
   for (std::uint32_t w = 0; w < threads; ++w) {
-    sims.push_back(proto.clone());
     shards[w].reserve((numGroups * (w + 1) / threads -
                        numGroups * w / threads) *
                       BatchSim::kLanes);
   }
-  detail::shardedFor(
-      numGroups, threads,
-      [&](std::uint32_t w, std::size_t g) {
-        body(sims[w], g, shards[w]);
+  detail::shardedForEachClone(
+      proto, numGroups, threads,
+      [&](BatchSim& worker, std::uint32_t w, std::size_t g) {
+        body(worker, g, shards[w]);
         meter.step(lanesOf(g) - 1);
       },
       describe, &meter, spanLabel);
   meter.finish();
-  {
-    obs::Span mergeSpan(std::string(spanLabel) + " merge shards");
-    for (const TraceSet& shard : shards) traces.append(shard);
-  }
-  return traces;
+  return mergeShards(shards, numTraces, spanLabel);
 }
 
 }  // namespace

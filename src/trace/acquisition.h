@@ -28,11 +28,11 @@
 //
 // In particular the noise seed passed to PowerModel::sample is a function
 // of (seed, i), i.e. of the trace's *identity*, never of schedule position
-// in some shared generator or of which worker ran the trace. Workers each
-// own a cloned EventSim (sharing the netlist and the DelayModel, so
-// per-instance process jitter is shared, not re-rolled), fill private
-// TraceSets over contiguous index ranges, and the shards are concatenated
-// in index order.
+// in some shared generator or of which worker ran the trace. Worker 0 runs
+// on the prototype simulator and every other worker on a clone of it
+// (sharing the netlist and the DelayModel, so per-instance process jitter
+// is shared, not re-rolled); workers fill private TraceSets over
+// contiguous index ranges, and the shards are concatenated in index order.
 //
 // ## Failure semantics
 //

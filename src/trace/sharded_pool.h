@@ -209,6 +209,27 @@ void shardedFor(std::size_t n, std::uint32_t threads, const Body& body,
   }
 }
 
+/// shardedFor with a private simulator per worker: runs body(sim, w, i)
+/// with `sim` = `proto` itself for worker 0 and a clone of it for every
+/// other worker (the engines' clone()-for-worker-pools contract: clones
+/// share the design and the metrics attachment). Every item must establish
+/// its own starting state (settle), so which instance runs it is invisible.
+template <typename Sim, typename Body, typename Describe>
+void shardedForEachClone(Sim& proto, std::size_t n, std::uint32_t threads,
+                         const Body& body, const Describe& describe,
+                         obs::ProgressMeter* progress = nullptr,
+                         const char* spanLabel = nullptr) {
+  std::vector<Sim> clones;
+  clones.reserve(threads > 1 ? threads - 1 : 0);
+  for (std::uint32_t w = 1; w < threads; ++w) clones.push_back(proto.clone());
+  shardedFor(
+      n, threads,
+      [&](std::uint32_t w, std::size_t i) {
+        body(w == 0 ? proto : clones[w - 1], w, i);
+      },
+      describe, progress, spanLabel);
+}
+
 }  // namespace detail
 
 }  // namespace lpa

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "bench/stress_reference.h"
 #include "core/experiment.h"
+#include "obs/event_journal.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
+#include "obs/trace_span.h"
 #include "sboxes/masked_sbox.h"
 
 namespace lpa {
@@ -92,6 +100,38 @@ TEST(StressAccumulator, DutyAndToggleBookkeeping) {
   EXPECT_THROW(acc.addSettledState({1}), std::invalid_argument);
 }
 
+TEST(StressAccumulator, MergeIsExactInAnyOrder) {
+  // Three partial tallies of one five-cycle chain, and the same cycles fed
+  // to a single accumulator: every merge order must reproduce it exactly.
+  std::vector<StressAccumulator> parts(3, StressAccumulator(3));
+  StressAccumulator whole(3);
+  const std::vector<std::vector<std::uint8_t>> states = {
+      {1, 0, 1}, {1, 1, 0}, {0, 0, 1}, {1, 0, 0}, {1, 1, 1}};
+  const std::vector<std::vector<Transition>> events = {
+      {{0.0, 2, 1}, {1.0, 2, 0}}, {{3.0, 1, 1}}, {}, {{2.0, 0, 1}},
+      {{0.5, 1, 0}, {0.7, 1, 1}, {0.9, 2, 1}}};
+  for (std::size_t c = 0; c < states.size(); ++c) {
+    StressAccumulator& part = parts[c % parts.size()];
+    part.addSettledState(states[c]);
+    part.addTransitions(events[c]);
+    whole.addSettledState(states[c]);
+    whole.addTransitions(events[c]);
+  }
+  const StressProfile expected = whole.finalize();
+  std::vector<std::size_t> order = {0, 1, 2};
+  do {
+    StressAccumulator merged(3);
+    for (std::size_t i : order) merged.merge(parts[i]);
+    EXPECT_EQ(merged.states(), whole.states());
+    EXPECT_TRUE(bench::bitIdentical(merged.finalize(), expected));
+  } while (std::next_permutation(order.begin(), order.end()));
+  // Merging an empty accumulator is the identity.
+  StressAccumulator same = whole;
+  same.merge(StressAccumulator(3));
+  EXPECT_TRUE(bench::bitIdentical(same.finalize(), expected));
+  EXPECT_THROW(same.merge(StressAccumulator(2)), std::invalid_argument);
+}
+
 TEST(AgingModel, FactorsAreBoundedAndMonotone) {
   StressProfile p;
   p.dutyHigh = {0.5, 0.9, 0.1};
@@ -152,6 +192,91 @@ TEST(Experiment, AgingFactorsShrinkPowerOverYears) {
     m4 += y4.amplitudeScale[i];
   }
   EXPECT_LT(m4, m1);
+}
+
+TEST(Experiment, StressProfileMatchesReferenceChain) {
+  // The lane-group profile must equal the sequential EventSim chain bit for
+  // bit: cycle counts straddling the 64-lane group edge, both delay
+  // disciplines, one and several workers. 0 cycles is the uniform prior.
+  for (SboxStyle style : allSboxStyles()) {
+    for (DelayKind kind : {DelayKind::Transport, DelayKind::Inertial}) {
+      for (std::uint32_t cycles : {0u, 1u, 63u, 64u, 65u, 512u}) {
+        ExperimentConfig cfg;
+        cfg.sim.kind = kind;
+        cfg.stressCycles = cycles;
+        cfg.observe = false;
+        const std::string where = std::string(sboxStyleName(style)) +
+                                  (kind == DelayKind::Transport
+                                       ? " transport "
+                                       : " inertial ") +
+                                  std::to_string(cycles) + " cycles";
+        StressProfile reference;
+        for (std::uint32_t threads : {1u, 4u}) {
+          cfg.acquisition.numThreads = threads;
+          SboxExperiment exp(style, cfg);
+          if (threads == 1) {
+            const DelayModel delays(exp.sbox().netlist(), cfg.delay);
+            reference = bench::referenceStressProfile(
+                exp.sbox(), delays, cfg.sim, cycles, cfg.stressSeed);
+          }
+          const StressProfile& p = exp.stressProfile();
+          EXPECT_TRUE(bench::bitIdentical(p, reference))
+              << where << ", " << threads << " threads";
+          if (cycles == 0) {
+            for (std::size_t i = 0; i < p.dutyHigh.size(); ++i) {
+              ASSERT_EQ(p.dutyHigh[i], 0.5) << where;
+              ASSERT_EQ(p.togglesPerCycle[i], 0.0) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Experiment, StressProfileIsNotChargedToAcquisition) {
+  // Stress profiling runs on the batch engine and the worker pool, but it
+  // is not an acquisition: no traces counted, no acquire-* journal entries,
+  // its worker spans carry its own label and its simulator counters land in
+  // sim.batch.* (not the reference engine's sim.*).
+  ExperimentConfig cfg;
+  cfg.acquisition.numThreads = 4;
+  SboxExperiment exp(SboxStyle::Glut, cfg);
+  auto& registry = obs::MetricsRegistry::global();
+  auto& journal = obs::EventJournal::global();
+  auto& collector = obs::TraceCollector::global();
+  const obs::MetricsSnapshot before = registry.snapshot();
+  const std::uint64_t emittedBefore = journal.emitted();
+  collector.clear();
+  collector.enable();
+  exp.stressProfile();
+  collector.disable();
+  const obs::MetricsSnapshot after = registry.snapshot();
+  const auto delta = [&](const char* name) {
+    return after.counterOr(name, 0) - before.counterOr(name, 0);
+  };
+  EXPECT_EQ(delta("acquire.traces_total"), 0u);
+  EXPECT_EQ(delta("sim.batch.runs"), cfg.stressCycles);
+  EXPECT_EQ(delta("sim.batch.batches"), cfg.stressCycles / 64);
+  EXPECT_GT(delta("sim.batch.events_processed"), 0u);
+  EXPECT_EQ(delta("sim.runs"), 0u);
+  EXPECT_EQ(delta("sim.events_processed"), 0u);
+
+  for (const obs::JournalEvent& e :
+       journal.tail(journal.emitted() - emittedBefore)) {
+    EXPECT_NE(e.kind.rfind("acquire", 0), 0u) << e.kind;
+  }
+
+  const obs::Json trace = obs::Json::parse(collector.toJson().dump());
+  collector.clear();
+  std::size_t workerSpans = 0;
+  for (const obs::Json& e : trace.find("traceEvents")->elements()) {
+    if (e.find("ph")->asString() != "X") continue;
+    const std::string name = e.find("name")->asString();
+    EXPECT_EQ(name.rfind("stress.profile", 0), 0u) << name;
+    if (name.rfind("stress.profile shard w", 0) == 0) ++workerSpans;
+  }
+  EXPECT_EQ(workerSpans, 4u);
 }
 
 }  // namespace

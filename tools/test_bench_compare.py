@@ -36,9 +36,11 @@ FULL_PARAMS = {
     "obs_bit_identical": True,
     "engine_bit_identical": True,
     "quant_deterministic": True,
+    "stress_bit_identical": True,
     "compiled_speedup": 2.0,
     "batch_speedup": 10.0,
     "batch_quant_speedup": 4.0,
+    "stress_speedup": 3.2,
     "traces_per_sec_reference": 15000.0,
     "traces_per_sec_compiled": 30000.0,
     "traces_per_sec_batch": 150000.0,
@@ -71,6 +73,15 @@ class RatioFloors(unittest.TestCase):
         self.assertEqual(floors["compiled_speedup"], 1.5)  # 0.75 * 2.0
         self.assertEqual(floors["batch_speedup"], 7.5)  # 0.75 * 10.0
         self.assertEqual(floors["batch_quant_speedup"], 3.0)  # 0.75 * 4.0
+        self.assertEqual(floors["stress_speedup"], 2.4)  # 0.75 * 3.2
+
+    def test_stress_ratio_below_floor_fails(self):
+        # Stress profiling slipping back toward the reference chain's cost
+        # must trip its own floor, not pass on the acquisition ratios.
+        slow = dict(FULL_PARAMS, stress_speedup=1.0)
+        gate, _ = run(baseline_for(FULL_PARAMS), slow)
+        self.assertEqual([f for f in gate.failures if "stress" in f],
+                         ["stress_speedup: 1.00 (floor 2.40)"])
 
     def test_ratio_below_floor_fails(self):
         slow = dict(FULL_PARAMS, batch_speedup=5.0)
@@ -155,6 +166,13 @@ class Invariants(unittest.TestCase):
         self.assertTrue(
             any("engine_bit_identical" in f for f in gate.failures))
 
+    def test_stress_profile_drift_fails(self):
+        # A stress profile that differs from the reference chain would age
+        # every cell differently; the gate must name the contract.
+        broken = dict(FULL_PARAMS, stress_bit_identical=False)
+        gate, _ = run(baseline_for(FULL_PARAMS), broken)
+        self.assertEqual(gate.failures, ["stress_bit_identical: False"])
+
     def test_pinned_drift_skips_digest_comparison(self):
         drifted = dict(FULL_PARAMS, style="RSM")
         gate, out = run(baseline_for(FULL_PARAMS), drifted, digest="other")
@@ -222,6 +240,7 @@ class CheckedInBaseline(unittest.TestCase):
         for key in bench_compare.RATIO_PARAMS:
             self.assertIn(key, entry["min_ratio"], key)
         self.assertIn("engine_bit_identical", entry["require_true"])
+        self.assertIn("stress_bit_identical", entry["require_true"])
 
 
 if __name__ == "__main__":
