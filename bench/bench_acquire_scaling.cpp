@@ -8,11 +8,11 @@
 // re-checks bit-identity across the two modes (the zero-perturbation
 // contract of obs/metrics.h).
 //
-// An engine A/B/C/D section cross-times the reference, compiled, exact
-// batch, and quantized-grid batch engines at one thread: the first three
-// must stay bit-identical; the quantized side (DESIGN.md §14) is checked
-// for repeat-run determinism and reported as batch_quant_speedup, the
-// ratio the CI perf gate pins.
+// An engine A/B/C section cross-times the reference, exact batch, and
+// quantized-grid batch engines at one thread: the first two must stay
+// bit-identical; the quantized side (DESIGN.md §14) is checked for
+// repeat-run determinism and reported as batch_quant_speedup, the ratio
+// the CI perf gate pins.
 //
 // A stress-profiling A/B times SboxExperiment::stressProfile() (lane
 // groups on the batch engine) against the sequential reference EventSim
@@ -274,14 +274,13 @@ int main(int argc, char** argv) {
     report.setParam("telemetry_bit_identical", obs::Json(telIdentical));
   }
 
-  // Engine A/B/C: reference EventSim vs the compiled scalar fast path vs
-  // the bit-parallel batch engine (single thread, so each ratio is pure
-  // per-trace engine cost). Repetitions of all three sides are interleaved
-  // against frequency drift; the three digests must match bit-for-bit (the
-  // identity contracts of sim/compiled_sim.h and sim/batch_sim.h).
-  // compiled_speedup and batch_speedup are machine-independent ratios and
-  // are what the CI perf gate pins (tools/bench_compare.py).
-  std::printf("\nengine A/B/C (reference vs compiled vs batch, 1 thread):\n");
+  // Engine A/B: reference EventSim vs the bit-parallel batch engine
+  // (single thread, so the ratio is pure per-trace engine cost).
+  // Repetitions of both sides are interleaved against frequency drift; the
+  // digests must match bit-for-bit (the identity contract of
+  // sim/batch_sim.h). batch_speedup is a machine-independent ratio and is
+  // what the CI perf gate pins (tools/bench_compare.py).
+  std::printf("\nengine A/B (reference vs batch, 1 thread):\n");
   auto makeEngine = [&](SimEngine engine) {
     ExperimentConfig ecfg;
     ecfg.acquisition.tracesPerClass = tracesPerClass;
@@ -290,10 +289,9 @@ int main(int argc, char** argv) {
     return SboxExperiment(SboxStyle::Glut, ecfg);
   };
   SboxExperiment engRef = makeEngine(SimEngine::Reference);
-  SboxExperiment engCmp = makeEngine(SimEngine::Compiled);
   SboxExperiment engBat = makeEngine(SimEngine::Batch);
-  double secsRef = 1e300, secsCmp = 1e300, secsBat = 1e300;
-  double digRef = 0.0, digCmp = 0.0, digBat = 0.0;
+  double secsRef = 1e300, secsBat = 1e300;
+  double digRef = 0.0, digBat = 0.0;
   {
     obs::PhaseTimer phase(report, "ab.engine");
     for (int rep = 0; rep < 5; ++rep) {
@@ -301,32 +299,25 @@ int main(int argc, char** argv) {
       secsRef = std::min(secsRef,
                          bench::bestOf(1, [&] { ts = engRef.acquireAt(0.0); }));
       digRef = digest(ts);
-      secsCmp = std::min(secsCmp,
-                         bench::bestOf(1, [&] { ts = engCmp.acquireAt(0.0); }));
-      digCmp = digest(ts);
       secsBat = std::min(secsBat,
                          bench::bestOf(1, [&] { ts = engBat.acquireAt(0.0); }));
       digBat = digest(ts);
     }
   }
-  const double engineSpeedup = secsRef / secsCmp;
   const double batchSpeedup = secsRef / secsBat;
-  const bool engIdentical = digRef == digCmp && digRef == digBat;
+  const bool engIdentical = digRef == digBat;
   allIdentical = allIdentical && engIdentical;
   std::printf(
-      "  reference %.4fs (%.0f traces/sec), compiled %.4fs (%.0f "
-      "traces/sec, %.2fx),\n  batch %.4fs (%.0f traces/sec, %.2fx), "
-      "bit-ident %s\n",
-      secsRef, n / secsRef, secsCmp, n / secsCmp, engineSpeedup, secsBat,
-      n / secsBat, batchSpeedup, engIdentical ? "yes" : "NO");
+      "  reference %.4fs (%.0f traces/sec), batch %.4fs (%.0f traces/sec, "
+      "%.2fx), bit-ident %s\n",
+      secsRef, n / secsRef, secsBat, n / secsBat, batchSpeedup,
+      engIdentical ? "yes" : "NO");
   report.setParam("traces_per_sec_reference", n / secsRef);
-  report.setParam("traces_per_sec_compiled", n / secsCmp);
   report.setParam("traces_per_sec_batch", n / secsBat);
-  report.setParam("compiled_speedup", engineSpeedup);
   report.setParam("batch_speedup", batchSpeedup);
   report.setParam("engine_bit_identical", obs::Json(engIdentical));
 
-  // Engine D: the quantized-grid batch mode (DESIGN.md §14) vs the exact
+  // Engine C: the quantized-grid batch mode (DESIGN.md §14) vs the exact
   // batch engine, one thread, opt-in SampleGrid quantization. Quantized
   // traces are leakage-equivalent, not bit-identical, so the on-the-fly
   // check is repeat-run determinism (the same digest every repetition) —
@@ -334,7 +325,7 @@ int main(int argc, char** argv) {
   // sides are re-measured interleaved so frequency drift cannot bias the
   // ratio; batch_quant_speedup is the machine-independent ratio the CI
   // perf gate pins.
-  std::printf("\nengine D (quantized-grid batch vs exact batch, 1 thread):\n");
+  std::printf("\nengine C (quantized-grid batch vs exact batch, 1 thread):\n");
   auto makeQuant = [&] {
     ExperimentConfig qcfg;
     qcfg.acquisition.tracesPerClass = tracesPerClass;

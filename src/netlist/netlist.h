@@ -40,9 +40,8 @@ class Netlist {
 
   /// True once any gate has been rewritten via replaceGate. A conservative
   /// marker: an overlaid netlist may violate the topological invariant and
-  /// must be simulated by the reference EventSim engine; the compiled fast
-  /// path (sim/compiled_sim.h) refuses it and acquire() falls back
-  /// automatically.
+  /// must be simulated by the reference EventSim engine; the batch engine
+  /// (sim/batch_sim.h) refuses it and acquire() falls back automatically.
   bool hasFaultOverlay() const { return overlaid_; }
 
   std::size_t numGates() const { return gates_.size(); }

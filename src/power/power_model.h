@@ -30,8 +30,8 @@ namespace power_detail {
 
 // The deposition arithmetic is factored into these inline helpers so the
 // reference path (PowerModel::sample over a Transition list) and the
-// compiled fast path (CompiledSim fusing deposition into the event-commit
-// step) execute the *same* floating-point expressions in the same order —
+// batch engine (BatchSim fusing deposition into the event-commit step)
+// execute the *same* floating-point expressions in the same order —
 // the foundation of the engines' bit-identity contract. Any change here
 // changes every determinism digest in the repo.
 
@@ -127,8 +127,8 @@ class PowerModel {
   const PowerOptions& options() const { return opts_; }
   double switchedCapFf(NetId gate) const { return capFf_[gate]; }
   /// Aged pulse energy of a gate: switched cap x aging amplitude factor.
-  /// This is the per-gate scalar the compiled fast path snapshots
-  /// (sim/compiled_design.h).
+  /// This is the per-gate scalar the batch engine's lowered design
+  /// snapshots (sim/compiled_design.h).
   double effectiveCapFf(NetId gate) const {
     return capFf_[gate] * agingScale_[gate];
   }

@@ -35,11 +35,11 @@ inline std::uint64_t plane64(unsigned nib, std::uint64_t a, std::uint64_t b) {
          (fill64(nib >> 2) & ~a & b) | (fill64(nib >> 3) & a & b);
 }
 
-/// Word-parallel twin of CompiledSim's evalTable: gathers the four packed
+/// Word-parallel truth-table evaluation: gathers the four packed
 /// fanin words (unused slots alias slot 0) and evaluates the gate's
 /// 16-entry truth table for all 64 lanes at once. Lane l of the result is
-/// bit (a_l | b_l<<1 | c_l<<2 | d_l<<3) of tt — boolean-identical to the
-/// scalar gather by construction.
+/// bit (a_l | b_l<<1 | c_l<<2 | d_l<<3) of tt — boolean-identical to a
+/// table lookup of lane l's own fanin states by construction.
 inline std::uint64_t evalTable64(const std::uint32_t* fan, std::uint16_t tt,
                                  const std::uint64_t* stateW) {
   const std::uint64_t a = stateW[fan[0]];
@@ -287,7 +287,7 @@ std::uint64_t BatchSim::arenaBytes() const {
 }
 
 /// Folds the per-lane run tallies into each lane's cumulative SimStats —
-/// the per-lane twin of the scalar engines' recordRun, same formulas —
+/// the per-lane twin of EventSim's recordRun, same formulas —
 /// and flushes batch-level aggregates to the attached registry. Called at
 /// quiescence and right before a SimDiverged throw (after which only the
 /// diverged lane's stats are contractually meaningful).
@@ -374,8 +374,8 @@ void BatchSim::settle(
   activeMask_ = activeLanes_ == kLanes
                     ? ~std::uint64_t(0)
                     : (std::uint64_t(1) << activeLanes_) - 1;
-  // Word-parallel twin of CompiledSim::settle: assign the packed inputs,
-  // then one blanket re-evaluation pass in index (== topological) order.
+  // Word-parallel settle: assign the packed inputs, then one blanket
+  // re-evaluation pass in index (== topological) order.
   // Input gates carry identity truth tables over their own state, so the
   // pass needs no per-gate type branch; lanes above activeLanes_ settle on
   // all-zero stimuli and are masked out of every observable.
@@ -435,7 +435,7 @@ void BatchSim::queuePush(double time, std::uint64_t key, std::uint64_t mask,
 BatchSim::QueueEvent BatchSim::queuePop() {
   // Caller guarantees eventsInQueue_ > 0; cursor is monotone (arrivals
   // satisfy eta >= now). Exhausted buckets are scrubbed as the cursor
-  // leaves them — same protocol as CompiledSim::queuePop.
+  // leaves them (see the calendar notes at kMaxBuckets in batch_sim.h).
   for (;;) {
     std::vector<QueueEvent>& b = buckets_[bucketCursor_];
     std::uint32_t& head = bucketHead_[bucketCursor_];
@@ -905,7 +905,7 @@ void BatchSim::runFused(
   // Deposition runs sample-major (all lanes of one bin contiguous) so the
   // per-commit inner loop touches one cache line per bin; lane traces are
   // transposed out afterwards. Per lane and bin, the accumulation order is
-  // the lane's commit order — the scalar engines' order — and the FP
+  // the lane's commit order — the reference engine's order — and the FP
   // expressions are the shared power_detail helpers, so each lane's trace
   // is bit-identical to PowerModel::sample over that lane's run.
   grid_.assign(std::size_t(d.numSamples) * kLanes, 0.0);

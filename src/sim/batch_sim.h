@@ -77,12 +77,12 @@
 // engine realizes every lane's reference pop order *exactly*, with no
 // tie-break waiver. The same argument orders each lane's pulse deposition
 // (and hence the FP accumulation order into every sample bin) identically
-// to the scalar engines.
+// to the reference engine.
 //
 // ## Bit-identity contract (Exact mode)
 //
 // For every lane l < activeLanes(), BatchSim is bit-identical to an
-// EventSim/CompiledSim fed lane l's stimuli on the same design:
+// EventSim fed lane l's stimuli on the same design:
 //   * identical committed values / outputs after settle()/run();
 //   * identical per-lane Transition lists (time, net, value, weight);
 //   * runFused() lane traces equal PowerModel::sample(run(...), seed);
@@ -95,8 +95,9 @@
 //
 // ## Eligibility
 //
-// Same design-level eligibility as CompiledSim (no fault overlay, matching
-// power model, < 2^24 gates; acquisition's resolveEngine enforces this);
+// Design-level eligibility: no fault overlay, a matching power model and
+// < 2^24 gates (CompiledDesign and the constructor enforce these;
+// acquisition's resolveEngine falls back to the reference engine first);
 // any active lane count 1..64 is supported, so partial trailing groups of
 // a trace budget need no special casing. Quantized mode additionally
 // requires a configured sample grid (samplePeriodPs > 0) and a step
@@ -121,7 +122,8 @@ class BatchSim {
   static constexpr std::uint32_t kLanes = 64;
 
   /// `design` must outlive the sim and stay unmodified while any clone is
-  /// running (the CompiledSim sharing contract). Throws
+  /// running (it is read-only during simulation, so concurrent clones are
+  /// safe — the EventSim sharing contract). Throws
   /// std::invalid_argument for designs beyond the packed-event net
   /// capacity (2^24 gates), and — under SampleGrid quantization — for
   /// designs without a configured sample grid or whose combinational step
@@ -172,7 +174,7 @@ class BatchSim {
   }
 
   /// Lane `lane`'s power trace from the last runFused(): numSamples
-  /// doubles, bit-identical to the scalar engines' trace for that lane.
+  /// doubles, bit-identical to the reference engine's trace for that lane.
   const double* laneTrace(std::uint32_t lane) const {
     return laneTraces_.data() +
            static_cast<std::size_t>(lane) * design_->numSamples;
@@ -233,11 +235,19 @@ class BatchSim {
     std::uint64_t value;
   };
 
-  /// Monotone calendar queue over (time, pushId), structurally identical
-  /// to CompiledSim's (see sim/compiled_sim.h for the full invariants):
-  /// unsorted O(1) pushes, lazy per-bucket sort at first drain, sorted
-  /// insert into the draining bucket's unpopped tail, eager scrub as the
-  /// cursor leaves a bucket. The bucket width and the pre-sized horizon
+  /// Monotone calendar queue over (time, pushId). Simulated time never
+  /// moves backwards (every arrival satisfies eta >= now because gate
+  /// delays are positive), so events are binned by time into buckets
+  /// drained front to back by a monotone cursor: pushes append unsorted
+  /// (O(1)); a bucket is sorted once, when the cursor first drains it; the
+  /// rare arrival into the bucket being drained does a sorted insert into
+  /// its unpopped tail. Bucket ranges are disjoint time intervals, so
+  /// bucket-by-bucket draining pops the exact global minimum, and the last
+  /// bucket is open-ended, which bounds memory on pathological horizons
+  /// without changing the order. Exhausted buckets are scrubbed as the
+  /// cursor leaves them, so a completed run leaves the calendar clean; the
+  /// dirty list covers the exceptional exits (reset, divergence throw).
+  /// The bucket width and the pre-sized horizon
   /// are derived from the design's delay extrema and level count
   /// (CompiledDesign::minDelayPs / maxDelayPs / numLevels) instead of a
   /// fixed constant — bucketing only groups events, it never reorders
@@ -320,7 +330,7 @@ class BatchSim {
   /// the hot loop touches only the committing slots). Time and stamp share
   /// one 16-byte slot so a commit's validity check and gap read cost one
   /// cache line touch, not two. A stale slot yields weight 1.0 — exactly
-  /// what the scalar engines' -1e30 sentinel produces.
+  /// what the reference engine's -1e30 sentinel produces.
   struct CommitStamp {
     double ps;
     std::uint64_t epoch;

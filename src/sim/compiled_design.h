@@ -1,7 +1,7 @@
 #pragma once
-// One-time compilation of (Netlist, DelayModel, PowerModel) into flat
-// struct-of-arrays tables for the compiled simulation fast path
-// (sim/compiled_sim.h).
+// One-time lowering of (Netlist, DelayModel, PowerModel) into flat
+// struct-of-arrays tables for the bit-parallel batch engine
+// (sim/batch_sim.h).
 //
 // The reference EventSim walks a `std::vector<std::vector<NetId>>` fanout
 // structure and re-reads Gate objects through the Netlist on every event;
@@ -23,7 +23,7 @@
 //     amplitude factor). `refresh()` re-snapshots both after the experiment
 //     ages the device, without rebuilding the topology tables.
 //   * The power model's 50 GS/s sample-grid constants (period, pulse half
-//     width, sample count, noise sigma), so the commit step of the compiled
+//     width, sample count, noise sigma), so the commit step of the batch
 //     engine can deposit each pulse straight onto the grid. A fully
 //     pre-resolved per-gate bin footprint is deliberately NOT tabulated:
 //     event times are continuous (jittered delays), and the bit-identity
@@ -33,7 +33,7 @@
 //     the energy scalar.
 //
 // A CompiledDesign is immutable while simulations run and is shared by
-// reference among all CompiledSim clones of a worker pool (same contract as
+// reference among all BatchSim clones of a worker pool (same contract as
 // Netlist/DelayModel sharing in EventSim::clone).
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "sim/delay_model.h"
 
+#include <cmath>
 #include <random>
 #include <stdexcept>
 
@@ -33,9 +34,17 @@ double baseDelayPs(GateType t, int fanin) {
 }
 
 DelayModel::DelayModel(const Netlist& nl, const DelayOptions& opts) {
+  if (!(opts.jitterSigma >= 0.0) || std::isinf(opts.jitterSigma)) {
+    throw std::invalid_argument(
+        "DelayModel: jitterSigma must be finite and >= 0");
+  }
+  // normal_distribution requires sigma > 0; zero jitter is the nominal
+  // delay, so the draw is skipped rather than made from N(1, 0).
+  const bool jittered = opts.jitterSigma > 0.0;
   const std::vector<std::uint32_t>& fanout = nl.fanoutCounts();
   std::mt19937_64 rng(opts.deviceSeed);
-  std::normal_distribution<double> jitter(1.0, opts.jitterSigma);
+  std::normal_distribution<double> jitter(1.0,
+                                          jittered ? opts.jitterSigma : 1.0);
   fresh_.resize(nl.numGates());
   for (NetId id = 0; id < nl.numGates(); ++id) {
     const Gate& g = nl.gate(id);
@@ -46,7 +55,7 @@ DelayModel::DelayModel(const Netlist& nl, const DelayOptions& opts) {
     const double base = baseDelayPs(g.type, g.numFanin);
     const double loadExtra =
         fanout[id] > 1 ? opts.loadFactorPerFanout * (fanout[id] - 1) : 0.0;
-    double j = jitter(rng);
+    double j = jittered ? jitter(rng) : 1.0;
     if (j < 0.5) j = 0.5;  // clamp pathological draws
     fresh_[id] = base * (1.0 + loadExtra) * j;
   }

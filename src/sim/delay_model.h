@@ -17,7 +17,10 @@ namespace lpa {
 
 struct DelayOptions {
   double loadFactorPerFanout = 0.15;
-  double jitterSigma = 0.03;   ///< relative process-variation sigma
+  /// Relative process-variation sigma; 0 = nominal delays (no draw).
+  /// DelayModel throws std::invalid_argument for a negative, NaN or
+  /// infinite value.
+  double jitterSigma = 0.03;
   std::uint64_t deviceSeed = 0x5eedULL;  ///< identifies the device instance
 };
 

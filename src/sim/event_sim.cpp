@@ -47,7 +47,7 @@ EventSim::EventSim(const Netlist& nl, const DelayModel& delays,
   if (options.timeQuantization != TimeQuantization::Exact) {
     throw std::invalid_argument(
         "EventSim: sample-grid time quantization is a batch-engine mode "
-        "(BatchSim); the scalar engines are exact by contract");
+        "(BatchSim); the reference engine is exact by contract");
   }
   fanout_.resize(nl.numGates());
   for (NetId id = 0; id < nl.numGates(); ++id) {

@@ -74,7 +74,7 @@ enum class DelayKind {
 /// Event-time resolution of the simulation engines (DESIGN.md §14).
 enum class TimeQuantization : std::uint8_t {
   /// Exact continuous event times — the cross-engine bit-identity
-  /// contract, and the only mode the scalar engines accept (default).
+  /// contract, and the only mode EventSim accepts (default).
   Exact,
   /// Opt-in batch-engine throughput mode: every arrival time rounds up to
   /// the next 50 GS/s sample-grid boundary and all events landing on one
@@ -82,7 +82,7 @@ enum class TimeQuantization : std::uint8_t {
   /// Deliberately NOT bit-identical with Exact — sub-sample glitches
   /// collapse and commit times snap to the grid; the results are
   /// leakage-equivalent under the §14 commit-ordering waiver. Only
-  /// BatchSim implements it; EventSim/CompiledSim constructors throw.
+  /// BatchSim implements it; the EventSim constructor throws.
   SampleGrid,
 };
 
@@ -103,7 +103,7 @@ struct SimOptions {
   /// throws SimDiverged (0 = unlimited).
   double maxTimePs = 0.0;
   /// Event-time resolution (see TimeQuantization above). SampleGrid is a
-  /// batch-only opt-in; the scalar engines reject it at construction.
+  /// batch-only opt-in; EventSim rejects it at construction.
   TimeQuantization timeQuantization = TimeQuantization::Exact;
 };
 
@@ -137,13 +137,14 @@ class EventSim {
   /// Current committed value of a net.
   std::uint8_t value(NetId net) const { return state_[net]; }
 
-  /// The design this simulator runs (exposed so acquire() can compile the
-  /// fast-path tables for the same netlist/models, sim/compiled_design.h).
+  /// The design this simulator runs (exposed so acquire() can lower the
+  /// batch engine's tables for the same netlist/models,
+  /// sim/compiled_design.h).
   const Netlist& netlist() const { return *nl_; }
   const DelayModel& delayModel() const { return *delays_; }
   const SimOptions& options() const { return opts_; }
   /// Registry attached via attachMetrics (nullptr when detached); the
-  /// compiled engine selected by acquire() inherits this attachment.
+  /// batch engine selected by acquire() inherits this attachment.
   obs::MetricsRegistry* metricsRegistry() const { return registry_; }
 
   /// Values of the primary outputs in outputs() order.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
 #include "sim/batch_sim.h"
-#include "sim/compiled_sim.h"
 #include "stats/adaptive.h"
 #include "trace/sharded_pool.h"
 
@@ -23,51 +23,33 @@ namespace {
 constexpr std::uint64_t kScheduleStream = ~0ULL;
 
 /// Resolves the requested engine against the design's eligibility for the
-/// flat-table fast paths (compiled and batch share the same design-level
-/// eligibility). Auto never throws: an ineligible design falls back to the
-/// reference engine, and below one full lane group the batch engine's
-/// clustering cannot pay off, so Auto serves small budgets with the
-/// compiled scalar path. Forcing Compiled or Batch on an ineligible design
-/// throws; a forced Batch below the lane width runs a partial group.
+/// batch engine (no fault overlay, a power model built for the netlist,
+/// packed-event net capacity). Auto never throws: every eligible design is
+/// served by batch — a budget below the lane width runs one partial group
+/// — and an ineligible one falls back to the reference engine. Forcing
+/// Batch on an ineligible design throws.
 SimEngine resolveEngine(SimEngine requested, const EventSim& sim,
-                        const PowerModel& power, std::size_t traceCount) {
+                        const PowerModel& power) {
+  if (requested == SimEngine::Reference) return SimEngine::Reference;
   const bool eligible = !sim.netlist().hasFaultOverlay() &&
                         power.numGates() == sim.netlist().numGates() &&
                         sim.netlist().numGates() < (std::size_t(1) << 24);
-  switch (requested) {
-    case SimEngine::Reference:
-      return SimEngine::Reference;
-    case SimEngine::Compiled:
-      if (!eligible) {
-        throw std::invalid_argument(
-            "acquisition: compiled engine requested but the design is "
-            "ineligible (fault overlay present or power model size "
-            "mismatch)");
-      }
-      return SimEngine::Compiled;
-    case SimEngine::Batch:
-      if (!eligible) {
-        throw std::invalid_argument(
-            "acquisition: batch engine requested but the design is "
-            "ineligible (fault overlay present or power model size "
-            "mismatch)");
-      }
-      return SimEngine::Batch;
-    case SimEngine::Auto:
-      break;
+  if (eligible) return SimEngine::Batch;
+  if (requested == SimEngine::Batch) {
+    throw std::invalid_argument(
+        "acquisition: batch engine requested but the design is ineligible "
+        "(fault overlay present or power model size mismatch)");
   }
-  if (!eligible) return SimEngine::Reference;
-  return traceCount >= BatchSim::kLanes ? SimEngine::Batch
-                                        : SimEngine::Compiled;
+  return SimEngine::Reference;
 }
 
 /// Resolves the quantized-grid opt-in (DESIGN.md §14) against the
 /// *requested* engine: SampleGrid is honored only with an explicitly
 /// forced Batch engine. Auto deliberately ignores it — Auto-served runs
-/// must keep the exact engines' pinned determinism digest — and forcing a
-/// scalar engine together with SampleGrid is a contradiction (the scalar
-/// engines are exact by contract), reported here rather than as a
-/// confusing constructor throw deep inside a worker.
+/// must keep the exact engines' pinned determinism digest — and forcing
+/// the reference engine together with SampleGrid is a contradiction (it is
+/// exact by contract), reported here rather than as a confusing
+/// constructor throw deep inside a worker.
 TimeQuantization resolveQuantization(SimEngine requested,
                                      TimeQuantization quantization) {
   if (quantization == TimeQuantization::Exact) return quantization;
@@ -77,12 +59,11 @@ TimeQuantization resolveQuantization(SimEngine requested,
     case SimEngine::Auto:
       return TimeQuantization::Exact;  // Auto never selects quantized mode
     case SimEngine::Reference:
-    case SimEngine::Compiled:
       break;
   }
   throw std::invalid_argument(
       "acquisition: sample-grid time quantization requires the batch "
-      "engine (engine = SimEngine::Batch); the scalar engines are exact "
+      "engine (engine = SimEngine::Batch); the reference engine is exact "
       "by contract");
 }
 
@@ -101,107 +82,164 @@ struct JournalAcquireScope {
   }
 };
 
-/// Concatenates per-worker shards in worker (= index) order; a single
-/// shard is the result itself.
-TraceSet mergeShards(std::vector<TraceSet>& shards, std::size_t n,
-                     const char* spanLabel) {
-  if (shards.size() == 1) return std::move(shards[0]);
-  obs::Span mergeSpan(std::string(spanLabel) + " merge shards");
-  TraceSet traces(shards[0].numSamples());
-  traces.reserve(n);
-  for (const TraceSet& shard : shards) traces.append(shard);
-  return traces;
-}
+/// The stimuli of a group of consecutive traces, lane-indexed in the
+/// layout BatchSim takes them (the reference engine reads lane 0).
+struct Stimuli {
+  std::vector<std::uint8_t> labels;  ///< class (balanced) or plaintext
+  std::vector<std::vector<std::uint8_t>> inits, fins;
+  std::vector<std::uint64_t> noiseSeeds;
+  std::vector<std::uint8_t> expected;  ///< S-box outputs the decode check
+                                       ///< demands
+};
 
-/// Runs `body(sim, i, shard)` for every trace index in [0, n), sharded over
-/// `threads` workers in contiguous index blocks, and concatenates the
-/// per-worker shards in index order. `body` must depend only on the trace
-/// index (the determinism contract), which is what makes the sharding
-/// invisible in the result. `Sim` is EventSim or CompiledSim (same
-/// clone()-for-worker-pools contract). Failures carry the trace identity
-/// rendered by `describe(i)` and abort the remaining workers (see
-/// trace/sharded_pool.h).
-template <typename Sim, typename TraceBody, typename Describe>
-TraceSet shardedAcquire(Sim& sim, std::uint32_t numSamples,
-                        std::size_t n, std::uint32_t threads,
-                        const TraceBody& body, const Describe& describe,
-                        const obs::ProgressFn& progress,
-                        const char* spanLabel) {
-  obs::Span span(std::string(spanLabel) + " (" + std::to_string(n) +
-                 " traces, " + std::to_string(threads) + " threads)");
-  obs::ProgressMeter meter(spanLabel, n, progress);
+/// One acquisition: traces [begin, end) of a schedule whose trace i
+/// draw(i, out) appends to `out` — everything the trace consumes, drawn
+/// from Prng(deriveStreamSeed(seed, i)) in the protocol's order: initial
+/// encoding, final encoding, noise seed. Engine, quantization and threads
+/// are still the caller's request; run() resolves them.
+struct Plan {
+  const char* spanLabel;  ///< "acquire" / "acquire-keyed"
+  const char* labelName;  ///< what Stimulus::label is, for error messages
+  std::size_t begin, end;
+  SimEngine engine;
+  TimeQuantization quantization;
+  std::uint32_t numThreads;
+  obs::Profiler* profiler;
+  obs::ProgressFn progress;
+  std::function<void(std::size_t, Stimuli&)> draw;
+};
+
+/// The one engine-dispatch body behind acquire(), acquireRange() and
+/// acquireKeyed(). The sharded work item is a group of `width` consecutive
+/// trace indices — a BatchSim lane group, or a single trace on the
+/// reference engine — so trace grouping is a global function of the index
+/// and the result is thread-count invariant (worker shards cover
+/// contiguous group ranges and are concatenated in group order). Progress
+/// stays trace-denominated, and a failure is reported against the trace
+/// that caused it: the failing lane for a decode mismatch, the group's
+/// first trace for a failure of the whole group (e.g. SimDiverged).
+TraceSet run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
+             const Plan& plan) {
+  const SimEngine engine = resolveEngine(plan.engine, sim, power);
+  const TimeQuantization quantization =
+      resolveQuantization(plan.engine, plan.quantization);
+  const bool batch = engine == SimEngine::Batch;
+  const std::size_t n = plan.end - plan.begin;
+  const std::size_t width = batch ? BatchSim::kLanes : 1;
+  const std::size_t numGroups = (n + width - 1) / width;
+  const std::uint32_t threads =
+      resolveWorkerThreads(plan.numThreads, numGroups);
+  const std::uint32_t numSamples = power.options().numSamples;
+  const char* engineName = batch ? "batch" : "reference";
+
+  obs::Span span(std::string(plan.spanLabel) + " (" + std::to_string(n) +
+                 " traces, " + std::to_string(threads) + " threads, " +
+                 engineName + " engine)");
+  obs::ProgressMeter meter(plan.spanLabel, n, plan.progress);
   obs::MetricsRegistry::global().counter("acquire.traces_total").add(n);
   obs::EventJournal::global().info(
-      "acquire-start", {{"label", spanLabel},
+      "acquire-start", {{"label", plan.spanLabel},
                         {"traces", std::to_string(n)},
-                        {"threads", std::to_string(threads)}});
-  JournalAcquireScope journalScope{spanLabel};
-
-  std::vector<TraceSet> shards(threads, TraceSet(numSamples));
-  for (std::uint32_t w = 0; w < threads; ++w) {
-    shards[w].reserve(n * (w + 1) / threads - n * w / threads);
-  }
-  detail::shardedForEachClone(
-      sim, n, threads,
-      [&](Sim& worker, std::uint32_t w, std::size_t i) {
-        body(worker, i, shards[w]);
-      },
-      describe, &meter, spanLabel);
-  meter.finish();
-  return mergeShards(shards, n, spanLabel);
-}
-
-/// Batch-engine twin of shardedAcquire: the sharded work item is a *lane
-/// group* of up to BatchSim::kLanes consecutive trace indices, so trace
-/// grouping is a global function of the index — which keeps the result
-/// thread-count invariant (worker shards cover contiguous group ranges and
-/// are concatenated in group order). `body(worker, g, out)` simulates
-/// group g's lanes and appends its traces to `out` in lane order. Progress
-/// stays trace-denominated: the body's groups step the meter by their lane
-/// count (shardedFor contributes the final step of each group).
-template <typename GroupBody, typename Describe>
-TraceSet shardedBatchAcquire(BatchSim& proto, std::uint32_t numSamples,
-                             std::size_t numTraces,
-                             std::uint32_t requestedThreads,
-                             const GroupBody& body, const Describe& describe,
-                             const obs::ProgressFn& progress,
-                             const char* spanLabel) {
-  const std::size_t numGroups =
-      (numTraces + BatchSim::kLanes - 1) / BatchSim::kLanes;
-  const std::uint32_t threads =
-      resolveWorkerThreads(requestedThreads, numGroups);
-  obs::Span span(std::string(spanLabel) + " (" + std::to_string(numTraces) +
-                 " traces, " + std::to_string(threads) +
-                 " threads, batch engine)");
-  obs::ProgressMeter meter(spanLabel, numTraces, progress);
-  obs::MetricsRegistry::global().counter("acquire.traces_total")
-      .add(numTraces);
-  obs::EventJournal::global().info(
-      "acquire-start", {{"label", spanLabel},
-                        {"traces", std::to_string(numTraces)},
                         {"threads", std::to_string(threads)},
-                        {"engine", "batch"}});
-  JournalAcquireScope journalScope{spanLabel};
-  const auto lanesOf = [&](std::size_t g) {
-    return std::min<std::size_t>(BatchSim::kLanes,
-                                 numTraces - g * BatchSim::kLanes);
-  };
+                        {"engine", engineName}});
+  JournalAcquireScope journalScope{plan.spanLabel};
 
   std::vector<TraceSet> shards(threads, TraceSet(numSamples));
   for (std::uint32_t w = 0; w < threads; ++w) {
     shards[w].reserve((numGroups * (w + 1) / threads -
                        numGroups * w / threads) *
-                      BatchSim::kLanes);
+                      width);
   }
-  detail::shardedForEachClone(
-      proto, numGroups, threads,
-      [&](BatchSim& worker, std::uint32_t w, std::size_t g) {
-        body(worker, g, shards[w]);
-        meter.step(lanesOf(g) - 1);
-      },
-      describe, &meter, spanLabel);
+  std::vector<std::size_t> blamed(numGroups);  ///< failing trace per group
+  const auto runGroups = [&](auto& proto, const auto& simulate) {
+    detail::shardedForEachClone(
+        proto, numGroups, threads,
+        [&](auto& worker, std::uint32_t w, std::size_t g) {
+          const std::size_t first = plan.begin + g * width;
+          const std::size_t lanes = std::min(width, plan.end - first);
+          blamed[g] = first;
+          Stimuli group;
+          for (std::size_t l = 0; l < lanes; ++l) plan.draw(first + l, group);
+          // Functional sanity: the netlist must produce the right unmasked
+          // value. A lane that fails it takes the blame for its group.
+          const auto check = [&](std::size_t l,
+                                 const std::vector<std::uint8_t>& outputs) {
+            blamed[g] = first + l;
+            if (sbox.decode(outputs, group.fins[l]) != group.expected[l]) {
+              throw std::logic_error("acquisition: decode mismatch");
+            }
+          };
+          simulate(worker, group, check, shards[w]);
+          if (lanes > 1) meter.step(lanes - 1);
+        },
+        [&](std::size_t g) {
+          const std::size_t i = blamed[g];
+          Stimuli failed;
+          plan.draw(i, failed);
+          return std::string(plan.spanLabel) + " trace " +
+                 std::to_string(i) + " (" + plan.labelName + " " +
+                 std::to_string(static_cast<int>(failed.labels[0])) +
+                 ", style " + std::string(sbox.name()) + ")";
+        },
+        &meter, plan.spanLabel);
+  };
+
+  try {
+    if (batch) {
+      // Lane l of a group is trace first + l with its own stimuli, so the
+      // TraceSet is bit-identical to the reference engine's regardless of
+      // how traces fall into groups. Under the quantized-grid opt-in the
+      // per-lane stimuli are unchanged, so the quantized result stays
+      // deterministic in seed, thread-count invariant and
+      // slice-concatenation safe — just not bit-identical to Exact.
+      const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
+      SimOptions bopts = sim.options();
+      bopts.timeQuantization = quantization;
+      BatchSim bsim(design, bopts);
+      bsim.attachMetrics(sim.metricsRegistry());
+      bsim.attachProfiler(plan.profiler);
+      runGroups(bsim, [&](BatchSim& worker, const Stimuli& group,
+                          const auto& check, TraceSet& out) {
+        worker.settle(group.inits);
+        worker.runFused(group.fins, group.noiseSeeds);
+        for (std::uint32_t l = 0; l < group.labels.size(); ++l) {
+          check(l, worker.outputValues(l));
+          const double* trace = worker.laneTrace(l);
+          out.add(group.labels[l],
+                  std::vector<double>(trace, trace + numSamples));
+        }
+      });
+    } else {
+      // Workers clone `sim`, so attaching here propagates to every worker.
+      // Only attach when requested — a null re-attach would clobber an
+      // attachment the caller installed on the prototype.
+      if (plan.profiler != nullptr) sim.attachProfiler(plan.profiler);
+      runGroups(sim, [&](EventSim& worker, const Stimuli& group,
+                         const auto& check, TraceSet& out) {
+        worker.settle(group.inits[0]);
+        const std::vector<Transition> transitions = worker.run(group.fins[0]);
+        check(0, worker.outputValues());
+        out.add(group.labels[0],
+                power.sample(transitions, group.noiseSeeds[0]));
+      });
+    }
+  } catch (const WorkerError& e) {
+    // The pool names the failing group; re-pin the failure on its trace.
+    const std::size_t i = blamed[e.index()];
+    try {
+      std::rethrow_if_nested(e);
+    } catch (...) {
+      std::throw_with_nested(WorkerError(i, e.what()));
+    }
+    throw;
+  }
   meter.finish();
-  return mergeShards(shards, numTraces, spanLabel);
+  if (shards.size() == 1) return std::move(shards[0]);
+  obs::Span mergeSpan(std::string(plan.spanLabel) + " merge shards");
+  TraceSet traces(numSamples);
+  traces.reserve(n);
+  for (const TraceSet& shard : shards) traces.append(shard);
+  return traces;
 }
 
 }  // namespace
@@ -225,134 +263,29 @@ std::vector<std::uint8_t> balancedClassSchedule(std::uint32_t tracesPerClass,
 
 namespace {
 
-/// Collects schedule slice [begin, end): the shared engine-dispatch body of
-/// acquire() (the full range) and acquireRange() (a checkpoint group).
-/// Every per-trace stream is derived from the trace's *global* index, so
-/// slicing is invisible in the result bits.
+/// Collects schedule slice [begin, end): the body of acquire() (the full
+/// range) and acquireRange() (a checkpoint group). Every per-trace stream
+/// is derived from the trace's *global* index, so slicing is invisible in
+/// the result bits.
 TraceSet acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                       const PowerModel& power, const AcquisitionConfig& cfg,
                       const std::vector<std::uint8_t>& schedule,
                       std::size_t begin, std::size_t end) {
-  const std::size_t n = end - begin;
-  const auto describe = [&](std::size_t j) {
-    const std::size_t i = begin + j;
-    return "acquire trace " + std::to_string(i) + " (class " +
-           std::to_string(static_cast<int>(schedule[i])) + ", style " +
-           std::string(sbox.name()) + ")";
-  };
-  const std::uint32_t threads = resolveWorkerThreads(cfg.numThreads, n);
-  const SimEngine engine = resolveEngine(cfg.engine, sim, power, n);
-  const TimeQuantization quantization =
-      resolveQuantization(cfg.engine, cfg.timeQuantization);
-
-  if (engine == SimEngine::Batch) {
-    // Bit-parallel path: lane l of group g is trace begin + 64*g + l, and
-    // each lane draws its masks and noise seed from the trace's own stream
-    // — the per-trace protocol is the reference body's verbatim, so the
-    // TraceSet is bit-identical to the scalar engines' regardless of how
-    // traces fall into groups. Under the quantized-grid opt-in (only ever
-    // reached with a forced Batch engine) the per-lane stream derivation
-    // is unchanged, so the quantized result stays deterministic in seed,
-    // thread-count invariant and slice-concatenation safe — just not
-    // bit-identical to the exact engines.
-    const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
-    SimOptions bopts = sim.options();
-    bopts.timeQuantization = quantization;
-    BatchSim bsim(design, bopts);
-    bsim.attachMetrics(sim.metricsRegistry());
-    bsim.attachProfiler(cfg.profiler);
-    const auto describeGroup = [&](std::size_t g) {
-      const std::size_t base = begin + g * BatchSim::kLanes;
-      return "acquire traces [" + std::to_string(base) + ", " +
-             std::to_string(std::min<std::size_t>(base + BatchSim::kLanes,
-                                                  end)) +
-             ") (style " + std::string(sbox.name()) + ", batch engine)";
-    };
-    const auto body = [&](BatchSim& worker, std::size_t g, TraceSet& out) {
-      const std::size_t base = begin + g * BatchSim::kLanes;
-      const std::size_t lanes =
-          std::min<std::size_t>(BatchSim::kLanes, end - base);
-      std::vector<std::vector<std::uint8_t>> inits(lanes), fins(lanes);
-      std::vector<std::uint64_t> seeds(lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        Prng rng(deriveStreamSeed(cfg.seed, base + l));
-        inits[l] = sbox.encode(cfg.initialValue, rng);
-        fins[l] = sbox.encode(schedule[base + l], rng);
-        seeds[l] = rng.next() | 1ULL;
-      }
-      worker.settle(inits);
-      worker.runFused(fins, seeds);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::uint8_t cls = schedule[base + l];
-        const std::uint32_t lane = static_cast<std::uint32_t>(l);
-        const std::uint8_t decoded =
-            sbox.decode(worker.outputValues(lane), fins[l]);
-        if (decoded != kPresentSbox[cls]) {
-          throw std::logic_error("acquisition: decode mismatch at trace " +
-                                 std::to_string(base + l));
-        }
-        const double* trace = worker.laneTrace(lane);
-        out.add(cls, std::vector<double>(trace, trace + design.numSamples));
-      }
-    };
-    return shardedBatchAcquire(bsim, power.options().numSamples, n,
-                               cfg.numThreads, body, describeGroup,
-                               cfg.progress, "acquire");
-  }
-
-  if (engine == SimEngine::Compiled) {
-    // Fast path: fused deposition, no Transition list materialized. The
-    // per-trace protocol — stream derivation, encode order, the decode
-    // sanity check, the noise-seed draw — is the reference body's verbatim;
-    // runFused(fin, s) == power.sample(run(fin), s) bit-for-bit.
-    const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
-    CompiledSim csim(design, sim.options());
-    csim.attachMetrics(sim.metricsRegistry());
-    csim.attachProfiler(cfg.profiler);
-    const auto body = [&](CompiledSim& worker, std::size_t j, TraceSet& out) {
-      const std::size_t i = begin + j;
-      const std::uint8_t cls = schedule[i];
-      Prng rng(deriveStreamSeed(cfg.seed, i));
-      const std::vector<std::uint8_t> init =
-          sbox.encode(cfg.initialValue, rng);
-      worker.settle(init);
-      const std::vector<std::uint8_t> fin = sbox.encode(cls, rng);
-      const std::uint64_t noiseSeed = rng.next() | 1ULL;
-      const std::vector<double>& trace = worker.runFused(fin, noiseSeed);
-      const std::uint8_t decoded = sbox.decode(worker.outputValues(), fin);
-      if (decoded != kPresentSbox[cls]) {
-        throw std::logic_error("acquisition: decode mismatch");
-      }
-      out.add(cls, trace);
-    };
-    return shardedAcquire(csim, power.options().numSamples, n, threads, body,
-                          describe, cfg.progress, "acquire");
-  }
-
-  // Reference path: workers clone `sim`, so attaching here propagates to
-  // every worker. Only attach when requested — a null re-attach would
-  // clobber an attachment the caller installed on the prototype.
-  if (cfg.profiler != nullptr) sim.attachProfiler(cfg.profiler);
-  const auto body = [&](EventSim& worker, std::size_t j, TraceSet& out) {
-    const std::size_t i = begin + j;
-    const std::uint8_t cls = schedule[i];
+  const auto draw = [&](std::size_t i, Stimuli& out) {
     // All randomness of trace i — masks, gadget bits, noise seed — comes
     // from this stream and hence depends only on (cfg.seed, i).
     Prng rng(deriveStreamSeed(cfg.seed, i));
-    const std::vector<std::uint8_t> init = sbox.encode(cfg.initialValue, rng);
-    worker.settle(init);
-    const std::vector<std::uint8_t> fin = sbox.encode(cls, rng);
-    const std::vector<Transition> transitions = worker.run(fin);
-    // Functional sanity: the netlist must produce the right unmasked value.
-    const std::uint8_t decoded = sbox.decode(worker.outputValues(), fin);
-    if (decoded != kPresentSbox[cls]) {
-      throw std::logic_error("acquisition: decode mismatch");
-    }
-    out.add(cls, power.sample(transitions, rng.next() | 1ULL));
+    const std::uint8_t cls = schedule[i];
+    out.labels.push_back(cls);
+    out.inits.push_back(sbox.encode(cfg.initialValue, rng));
+    out.fins.push_back(sbox.encode(cls, rng));
+    out.noiseSeeds.push_back(rng.next() | 1ULL);
+    out.expected.push_back(kPresentSbox[cls]);
   };
-
-  return shardedAcquire(sim, power.options().numSamples, n, threads, body,
-                        describe, cfg.progress, "acquire");
+  return run(sbox, sim, power,
+             {"acquire", "class", begin, end, cfg.engine,
+              cfg.timeQuantization, cfg.numThreads, cfg.profiler,
+              cfg.progress, draw});
 }
 
 }  // namespace
@@ -392,93 +325,19 @@ TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
                       std::uint32_t numTraces, std::uint64_t seed,
                       std::uint32_t numThreads, SimEngine engine,
                       TimeQuantization quantization) {
-  const auto describe = [&](std::size_t i) {
-    // The plaintext is the first draw of the trace's stream; re-derive it
-    // so the error names the stimulus, not just the index.
-    const std::uint8_t plain = Prng(deriveStreamSeed(seed, i)).nibble();
-    return "keyed trace " + std::to_string(i) + " (plaintext " +
-           std::to_string(static_cast<int>(plain)) + ", style " +
-           std::string(sbox.name()) + ")";
-  };
-  const std::uint32_t threads = resolveWorkerThreads(numThreads, numTraces);
-  const SimEngine resolved = resolveEngine(engine, sim, power, numTraces);
-  const TimeQuantization resolvedQuant =
-      resolveQuantization(engine, quantization);
-
-  if (resolved == SimEngine::Batch) {
-    const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
-    SimOptions bopts = sim.options();
-    bopts.timeQuantization = resolvedQuant;
-    BatchSim bsim(design, bopts);
-    bsim.attachMetrics(sim.metricsRegistry());
-    const auto describeGroup = [&](std::size_t g) {
-      const std::size_t base = g * BatchSim::kLanes;
-      return "keyed traces [" + std::to_string(base) + ", " +
-             std::to_string(std::min<std::size_t>(base + BatchSim::kLanes,
-                                                  numTraces)) +
-             ") (style " + std::string(sbox.name()) + ", batch engine)";
-    };
-    const auto body = [&](BatchSim& worker, std::size_t g, TraceSet& out) {
-      const std::size_t base = g * BatchSim::kLanes;
-      const std::size_t lanes =
-          std::min<std::size_t>(BatchSim::kLanes, numTraces - base);
-      std::vector<std::vector<std::uint8_t>> inits(lanes), fins(lanes);
-      std::vector<std::uint64_t> seeds(lanes);
-      std::vector<std::uint8_t> plains(lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        Prng rng(deriveStreamSeed(seed, base + l));
-        plains[l] = rng.nibble();
-        inits[l] = sbox.encode(0, rng);
-        fins[l] = sbox.encode(static_cast<std::uint8_t>(plains[l] ^ key),
-                              rng);
-        seeds[l] = rng.next() | 1ULL;
-      }
-      worker.settle(inits);
-      worker.runFused(fins, seeds);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const double* trace =
-            worker.laneTrace(static_cast<std::uint32_t>(l));
-        out.add(plains[l],
-                std::vector<double>(trace, trace + design.numSamples));
-      }
-    };
-    return shardedBatchAcquire(bsim, power.options().numSamples, numTraces,
-                               numThreads, body, describeGroup,
-                               obs::ProgressFn(), "acquire-keyed");
-  }
-
-  if (resolved == SimEngine::Compiled) {
-    const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
-    CompiledSim csim(design, sim.options());
-    csim.attachMetrics(sim.metricsRegistry());
-    const auto body = [&](CompiledSim& worker, std::size_t i, TraceSet& out) {
-      Prng rng(deriveStreamSeed(seed, i));
-      const std::uint8_t plain = rng.nibble();
-      const std::vector<std::uint8_t> init = sbox.encode(0, rng);
-      worker.settle(init);
-      const std::vector<std::uint8_t> fin =
-          sbox.encode(static_cast<std::uint8_t>(plain ^ key), rng);
-      out.add(plain, worker.runFused(fin, rng.next() | 1ULL));
-    };
-    return shardedAcquire(csim, power.options().numSamples, numTraces,
-                          threads, body, describe, obs::ProgressFn(),
-                          "acquire-keyed");
-  }
-
-  const auto body = [&](EventSim& worker, std::size_t i, TraceSet& out) {
+  const auto draw = [&](std::size_t i, Stimuli& out) {
     Prng rng(deriveStreamSeed(seed, i));
     const std::uint8_t plain = rng.nibble();
-    const std::vector<std::uint8_t> init = sbox.encode(0, rng);
-    worker.settle(init);
-    const std::vector<std::uint8_t> fin =
-        sbox.encode(static_cast<std::uint8_t>(plain ^ key), rng);
-    const std::vector<Transition> transitions = worker.run(fin);
-    out.add(plain, power.sample(transitions, rng.next() | 1ULL));
+    const std::uint8_t value = static_cast<std::uint8_t>(plain ^ key);
+    out.labels.push_back(plain);
+    out.inits.push_back(sbox.encode(0, rng));
+    out.fins.push_back(sbox.encode(value, rng));
+    out.noiseSeeds.push_back(rng.next() | 1ULL);
+    out.expected.push_back(kPresentSbox[value]);
   };
-
-  return shardedAcquire(sim, power.options().numSamples, numTraces,
-                        resolveWorkerThreads(numThreads, numTraces), body,
-                        describe, obs::ProgressFn(), "acquire-keyed");
+  return run(sbox, sim, power,
+             {"acquire-keyed", "plaintext", 0, numTraces, engine,
+              quantization, numThreads, nullptr, obs::ProgressFn(), draw});
 }
 
 }  // namespace lpa

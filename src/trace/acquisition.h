@@ -42,6 +42,10 @@
 // index, its class/plaintext, and the implementation style, with the
 // original exception nested. Among concurrent failures the lowest trace
 // index wins, so the reported failure does not depend on thread timing.
+// WorkerError::index() is that trace's schedule index on both engines: on
+// the batch engine, whose work item is a lane group, a decode mismatch is
+// pinned on the failing lane and a failure of the whole group (e.g.
+// SimDiverged) on the group's first trace.
 
 #include <cstdint>
 
@@ -55,33 +59,29 @@ namespace lpa {
 
 /// Which simulation engine serves an acquisition.
 ///
-/// `Auto` (the default) picks the fastest eligible engine. Eligibility is
-/// purely a property of the design — no fault overlay on the netlist and a
+/// `Auto` (the default) serves every eligible design with the bit-parallel
+/// batch engine (sim/batch_sim.h, up to 64 traces per gate operation; a
+/// budget below the lane width runs one partial group) and falls back to
+/// the reference EventSim otherwise — Auto never throws. Eligibility is
+/// purely a property of the design: no fault overlay on the netlist and a
 /// power model built for it (acquisition never needs the recorded
-/// transition list; power deposition is fused into the commit step). On an
-/// eligible design, Auto serves the run with the bit-parallel batch engine
-/// (sim/batch_sim.h, 64 traces per gate operation) when the trace budget
-/// reaches one full lane group (BatchSim::kLanes), and with the compiled
-/// scalar fast path (sim/compiled_sim.h) below that; an ineligible design
-/// falls back to the reference EventSim — Auto never throws. All three
-/// engines are bit-identical (same traces, same determinism digest, same
-/// per-trace event tallies; enforced by tests/test_compiled_sim.cpp,
-/// tests/test_batch_sim.cpp and the differential fuzzer), so `Auto` is
-/// safe everywhere; `Reference`, `Compiled` and `Batch` force one engine
-/// for A/B benchmarking and CI digest cross-checks. Forcing `Compiled` or
-/// `Batch` on an ineligible design throws std::invalid_argument (a forced
-/// `Batch` below the lane width is fine — partial groups are supported).
+/// transition list; power deposition is fused into the commit step). The
+/// two engines are bit-identical (same traces, same determinism digest,
+/// same per-trace event tallies; enforced by tests/test_batch_sim.cpp and
+/// the differential fuzzer), so `Auto` is safe everywhere; `Reference` and
+/// `Batch` force one engine for A/B benchmarking and CI digest
+/// cross-checks. Forcing `Batch` on an ineligible design throws
+/// std::invalid_argument.
 ///
 /// Quantized-grid opt-in (DESIGN.md §14): setting
 /// `AcquisitionConfig::timeQuantization = TimeQuantization::SampleGrid`
 /// takes effect ONLY together with an explicitly forced `Batch` engine.
-/// `Auto` deliberately ignores it and serves exact engines — the pinned
-/// determinism digest must never change under Auto — and forcing
-/// `Reference` or `Compiled` with SampleGrid throws std::invalid_argument
-/// (the scalar engines are exact by contract).
+/// `Auto` deliberately ignores it and serves the exact engines — the
+/// pinned determinism digest must never change under Auto — and forcing
+/// `Reference` with SampleGrid throws std::invalid_argument (the reference
+/// engine is exact by contract).
 enum class SimEngine : std::uint8_t {
-  Auto,       ///< fastest eligible engine, reference otherwise
-  Compiled,   ///< require the compiled fast path (throws if ineligible)
+  Auto,       ///< batch on an eligible design, reference otherwise
   Reference,  ///< always the reference EventSim
   Batch,      ///< require the bit-parallel batch engine (throws if
               ///< ineligible)
@@ -108,15 +108,14 @@ struct AcquisitionConfig {
   SimEngine engine = SimEngine::Auto;
   /// Quantized-grid opt-in (DESIGN.md §14): honored only when `engine ==
   /// SimEngine::Batch` is forced explicitly; `Auto` ignores it (and keeps
-  /// the exact determinism digest), `Reference`/`Compiled` + SampleGrid
-  /// throws. Quantized results are deterministic in `seed`, thread-count
+  /// the exact determinism digest), `Reference` + SampleGrid throws. Quantized results are deterministic in `seed`, thread-count
   /// invariant and slice-concatenation safe (per-lane independence, see
   /// sim/batch_sim.h), but NOT bit-identical to the exact engines —
   /// leakage-equivalent only, gated against LEAKAGE_golden.json.
   TimeQuantization timeQuantization = TimeQuantization::Exact;
   /// Optional cost-attribution profiler (obs/profiler.h): the engine
-  /// serving the run (including internally constructed compiled/batch
-  /// engines and their worker clones) attaches to it and flushes per-run
+  /// serving the run (including an internally constructed batch engine
+  /// and its worker clones) attaches to it and flushes per-run
   /// tallies. Pure sink — with or without a profiler the TraceSet is
   /// bit-identical. The profiler must outlive the acquisition and have
   /// nets pre-sized (engines call ensureNets before workers start).
@@ -171,7 +170,7 @@ std::vector<std::uint8_t> balancedClassSchedule(std::uint32_t tracesPerClass,
 /// Collects a balanced, labelled trace set from `sbox` using the simulator
 /// and power model (both must be built for sbox.netlist()). `sim` is used
 /// as the prototype for per-worker clones (netlist, delay model, options,
-/// metrics attachment — also when the compiled engine serves the run); its
+/// metrics attachment — also when the batch engine serves the run); its
 /// state after the call is unspecified.
 TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
                  const PowerModel& power,
@@ -194,7 +193,9 @@ TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
 /// (seed, i), so results are invariant in `numThreads` (0 = auto).
 /// `quantization` follows the AcquisitionConfig::timeQuantization rules:
 /// honored only with an explicitly forced Batch engine, ignored by Auto,
-/// throws with a forced scalar engine.
+/// throws with a forced Reference engine. Every trace gets the same
+/// decode sanity check as acquire(): the netlist must compute
+/// S(plain ^ key).
 TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
                       const PowerModel& power, std::uint8_t key,
                       std::uint32_t numTraces, std::uint64_t seed = 1,

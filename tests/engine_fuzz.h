@@ -1,5 +1,5 @@
 #pragma once
-// Shared harness of the four-way differential engine fuzzer
+// Shared harness of the differential engine fuzzer
 // (tests/test_engine_fuzz.cpp — tier1 smoke budget — and
 // tests/test_engine_fuzz_deep.cpp — the nightly slow campaign).
 //
@@ -9,10 +9,9 @@
 // random delay/sim/power options covering both delay kinds, partial-swing
 // weighting on and off, aged and fresh devices, an occasional tight event
 // watchdog, and a random lane count in [1, 64]. The same per-lane stimuli
-// are then driven through all three engines —
+// are then driven through both engines —
 //
 //   EventSim      (reference, sim/event_sim.h)
-//   CompiledSim   (scalar fast path, sim/compiled_sim.h)
 //   BatchSim      (bit-parallel batch engine, sim/batch_sim.h)
 //
 // — and every observable is cross-checked bit-for-bit: settled net values,
@@ -23,7 +22,7 @@
 // so a failure reproduces with  LPA_FUZZ_SEED=<master> LPA_FUZZ_CASES=...
 // (case seeds are deriveStreamSeed(master, i), independent of the budget).
 //
-// A fourth pass re-runs every non-watchdog case under the quantized-grid
+// A further pass re-runs every non-watchdog case under the quantized-grid
 // batch mode (SimOptions::timeQuantization == SampleGrid, DESIGN.md §14).
 // Quantized results are leakage-equivalent, not bit-identical, so this
 // pass checks the quantized contract instead of bit-identity: the run
@@ -48,7 +47,6 @@
 #include "netlist/validate.h"
 #include "power/power_model.h"
 #include "sim/batch_sim.h"
-#include "sim/compiled_sim.h"
 #include "sim/delay_model.h"
 #include "sim/event_sim.h"
 #include "trace/prng.h"
@@ -177,7 +175,8 @@ inline void runFuzzCase(std::uint64_t caseSeed) {
   PowerModel pm(nl, popts);
 
   // Aged device in a quarter of the cases: non-uniform per-gate slowdown
-  // and amplitude attenuation, refreshed into the compiled snapshots.
+  // and amplitude attenuation, refreshed into the lowered design's
+  // snapshots.
   if (rng.below(4) == 0) {
     std::vector<double> slow(nl.numGates());
     std::vector<double> dim(nl.numGates());
@@ -214,7 +213,7 @@ inline void runFuzzCase(std::uint64_t caseSeed) {
   }
 
   // Recorded pass: settle, check settled state per lane, run, then compare
-  // the full transition record / outputs / stats three ways.
+  // the full transition record / outputs / stats lane by lane.
   BatchSim bat(design, sopts);
   bat.settle(v0);
   ASSERT_EQ(bat.activeLanes(), lanes);
@@ -264,19 +263,12 @@ inline void runFuzzCase(std::uint64_t caseSeed) {
   for (std::uint32_t l = 0; l < lanes; ++l) {
     SCOPED_TRACE("lane " + std::to_string(l));
     EventSim ref(nl, dm, sopts);
-    CompiledSim cmp(design, sopts);
     ref.settle(v0[l]);
-    cmp.settle(v0[l]);
     std::vector<Transition> refLog;
-    std::vector<Transition> cmpLog;
     ASSERT_NO_THROW(refLog = ref.run(v1[l]))
         << "reference diverged where the batch engine converged";
-    ASSERT_NO_THROW(cmpLog = cmp.run(v1[l]));
-    expectSameTransitionsFuzz(refLog, cmpLog);
     expectSameTransitionsFuzz(refLog, bat.laneTransitions(l));
-    EXPECT_EQ(ref.outputValues(), cmp.outputValues());
     EXPECT_EQ(ref.outputValues(), bat.outputValues(l));
-    expectSameStatsFuzz(ref.stats(), cmp.stats());
     expectSameStatsFuzz(ref.stats(), bat.laneStats(l));
   }
 

@@ -8,8 +8,8 @@
 // the contract down across every implementation style, both delay kinds,
 // fresh and aged devices, lane counts {1, 7, 64} plus a 200-trace grouped
 // sweep, the batch invariance properties (lane permutation, batch size),
-// and the acquisition engine-selection logic (Auto thresholds, fault
-// fallback, thread invariance). Mirrors tests/test_compiled_sim.cpp.
+// and the acquisition engine-selection logic (Auto on every budget, fault
+// fallback, thread invariance).
 
 #include "sim/batch_sim.h"
 
@@ -22,7 +22,6 @@
 
 #include "fault/fault_spec.h"
 #include "obs/metrics.h"
-#include "sim/compiled_sim.h"
 #include "trace/acquisition.h"
 #include "trace/prng.h"
 
@@ -106,9 +105,9 @@ std::vector<std::uint64_t> seeds(const std::vector<LaneStimulus>& st) {
 }
 
 /// Drives a batch of `lanes` stimuli through BatchSim (recorded + fused)
-/// and asserts every lane bit-identical to a private EventSim and
-/// CompiledSim run of the same stimuli: settled nets, transitions,
-/// outputs, per-lane stats, and fused traces.
+/// and asserts every lane bit-identical to a private EventSim run of the
+/// same stimuli: settled nets, transitions, outputs, per-lane stats, and
+/// fused traces.
 void expectLaneIdentity(const MaskedSbox& sbox, const DelayModel& dm,
                         const PowerModel& pm, const SimOptions& opts,
                         std::uint64_t seed, std::size_t lanes) {
@@ -139,12 +138,8 @@ void expectLaneIdentity(const MaskedSbox& sbox, const DelayModel& dm,
     SCOPED_TRACE("lane " + std::to_string(l));
     const std::uint32_t lane = static_cast<std::uint32_t>(l);
     EventSim ref(sbox.netlist(), dm, opts);
-    CompiledSim cmp(design, opts);
     ref.settle(st[l].init);
-    cmp.settle(st[l].init);
-    const auto refLog = ref.run(st[l].fin);
-    expectSameTransitions(refLog, bat.laneTransitions(lane));
-    expectSameTransitions(cmp.run(st[l].fin), bat.laneTransitions(lane));
+    expectSameTransitions(ref.run(st[l].fin), bat.laneTransitions(lane));
     EXPECT_EQ(ref.outputValues(), bat.outputValues(lane));
     expectSameStats(ref.stats(), bat.laneStats(lane));
 
@@ -447,11 +442,66 @@ TEST(BatchSim, RejectsBadLaneConfigurations) {
   EXPECT_THROW(bat.runFused(fins(st), {1, 2}), std::invalid_argument);
 }
 
-TEST(BatchAcquire, AutoPicksBatchAtLaneWidthAndCompiledBelow) {
-  // Regression for the Auto selection rule: a trace budget below the lane
-  // width must fall back to the compiled engine (not throw, not batch);
-  // from one full lane group on, the batch engine serves the run. Engine
-  // counters in a private registry make the choice observable.
+TEST(BatchSim, DesignRefreshTracksAging) {
+  // Lower once, age the models afterwards: refresh() must re-snapshot the
+  // per-gate scalars without a rebuild.
+  const auto sbox = makeSbox(SboxStyle::Rsm);
+  DelayModel dm(sbox->netlist());
+  PowerModel pm(sbox->netlist());
+  CompiledDesign design(sbox->netlist(), dm, pm);
+
+  std::vector<double> slow(sbox->netlist().numGates(), 1.15);
+  dm.setAgingFactors(slow);
+  std::vector<double> dim(sbox->netlist().numGates(), 0.93);
+  pm.setAgingFactors(dim);
+  design.refresh(dm, pm);
+
+  SimOptions opts;
+  EventSim ref(sbox->netlist(), dm, opts);
+  BatchSim bat(design, opts);
+  Prng rng(7);
+  const auto init = sbox->encode(0, rng);
+  const auto fin = sbox->encode(5, rng);
+  const std::uint64_t noiseSeed = rng.next() | 1ULL;
+  ref.settle(init);
+  const auto refLog = ref.run(fin);
+  bat.settle({init});
+  bat.run({fin});
+  expectSameTransitions(refLog, bat.laneTransitions(0));
+
+  // The refreshed energy scalars reach the fused deposition too.
+  const auto expected = pm.sample(refLog, noiseSeed);
+  bat.settle({init});
+  bat.runFused({fin}, {noiseSeed});
+  const double* got = bat.laneTrace(0);
+  for (std::size_t s = 0; s < expected.size(); ++s) {
+    ASSERT_EQ(got[s], expected[s]) << "sample " << s;
+  }
+}
+
+TEST(CompiledDesign, RejectsFaultOverlayAndSizeMismatch) {
+  const auto sbox = makeSbox(SboxStyle::Lut);
+  const DelayModel dm(sbox->netlist());
+  const PowerModel pm(sbox->netlist());
+  const NetId victim = sbox->netlist().inputs().front();
+  const FaultedDesign faulted = FaultInjector(sbox->netlist(), dm)
+                                    .apply({FaultKind::StuckAt1, victim});
+  EXPECT_THROW(CompiledDesign(faulted.netlist, dm, pm),
+               std::invalid_argument);
+
+  // Size mismatch: models built for a different netlist.
+  const auto other = makeSbox(SboxStyle::Glut);
+  const DelayModel odm(other->netlist());
+  const PowerModel opm(other->netlist());
+  EXPECT_THROW(CompiledDesign(sbox->netlist(), odm, opm),
+               std::invalid_argument);
+}
+
+TEST(BatchAcquire, AutoServesBudgetsBelowLaneWidthWithBatch) {
+  // Regression for the Auto selection rule: on an eligible design Auto
+  // serves every budget with the batch engine — below the lane width as
+  // one partial group, not with the reference engine. Engine counters in
+  // a private registry make the choice observable.
   const auto sbox = makeSbox(SboxStyle::Lut);
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
@@ -462,16 +512,11 @@ TEST(BatchAcquire, AutoPicksBatchAtLaneWidthAndCompiledBelow) {
   AcquisitionConfig cfg;
   cfg.numThreads = 1;
   cfg.engine = SimEngine::Auto;
-
   cfg.tracesPerClass = 2;  // 32 traces < 64 lanes
   acquire(*sbox, sim, pm, cfg);
-  EXPECT_EQ(registry.counter("sim.batch.batches").value(), 0u);
-  EXPECT_GT(registry.counter("sim.compiled.runs").value(), 0u);
-
-  cfg.tracesPerClass = 4;  // 64 traces = one full lane group
-  acquire(*sbox, sim, pm, cfg);
-  EXPECT_GT(registry.counter("sim.batch.batches").value(), 0u);
-  EXPECT_EQ(registry.counter("sim.batch.runs").value(), 64u);
+  EXPECT_EQ(registry.counter("sim.batch.batches").value(), 1u);
+  EXPECT_EQ(registry.counter("sim.batch.runs").value(), 32u);
+  EXPECT_EQ(registry.counter("sim.runs").value(), 0u);
 }
 
 TEST(BatchAcquire, ForcedEnginesAreBitIdenticalAcrossThreads) {

@@ -1,8 +1,9 @@
-// Nightly (slow tier) campaign of the four-way differential engine
-// fuzzer: >= 520 seeded cases, zero tolerated mismatches. Uses a different
-// default master seed than the tier-1 smoke run so the two tiers explore
-// disjoint case populations; both honor LPA_FUZZ_SEED / LPA_FUZZ_CASES for
-// reproduction and widening. See tests/engine_fuzz.h.
+// Nightly (slow tier) campaign of the differential engine fuzzer (see
+// test_engine_fuzz.cpp for its engines and the test name): >= 520 seeded
+// cases, zero tolerated mismatches. Uses a different default master seed
+// than the tier-1 smoke run so the two tiers explore disjoint case
+// populations; both honor LPA_FUZZ_SEED / LPA_FUZZ_CASES for reproduction
+// and widening. See tests/engine_fuzz.h.
 
 #include "engine_fuzz.h"
 

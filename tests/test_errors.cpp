@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
@@ -149,9 +150,12 @@ TEST(TraceSetErrors, ShapeViolationsThrow) {
 // buffered plaintext back, which never equals kPresentSbox[plain] (the
 // PRESENT S-box has no fixed points), so every trace's acquisition
 // self-check fails. This exercises the fail-safe path deterministically.
+// With `brokenValue` >= 0 only final values equal to it decode wrongly
+// (the others return the right S-box output), so just some lanes of a
+// batch group fail.
 class BrokenSbox final : public MaskedSbox {
  public:
-  BrokenSbox() {
+  explicit BrokenSbox(int brokenValue = -1) : brokenValue_(brokenValue) {
     NetlistBuilder b;
     for (int i = 0; i < 4; ++i) {
       b.output(b.buf(b.input("x" + std::to_string(i))),
@@ -169,39 +173,119 @@ class BrokenSbox final : public MaskedSbox {
   }
   std::uint8_t decode(const std::vector<std::uint8_t>& outputs,
                       const std::vector<std::uint8_t>&) const override {
-    return readNibbleBits(outputs, 0);
+    const std::uint8_t v = readNibbleBits(outputs, 0);
+    return brokenValue_ < 0 || v == brokenValue_ ? v : kPresentSbox[v];
   }
+
+ private:
+  int brokenValue_;
 };
+
+/// The nested root cause of a worker error must be the decode check.
+void expectNestedDecodeCause(const WorkerError& e) {
+  bool sawNested = false;
+  try {
+    std::rethrow_if_nested(e);
+  } catch (const std::exception& nested) {
+    sawNested = true;
+    EXPECT_NE(std::string(nested.what()).find("decode"), std::string::npos);
+  }
+  EXPECT_TRUE(sawNested);
+}
 
 TEST(AcquisitionErrors, WorkerErrorCarriesTraceIdentity) {
   const BrokenSbox sbox;
   const DelayModel dm(sbox.netlist());
   const PowerModel power(sbox.netlist());
 
-  AcquisitionConfig cfg;
-  cfg.tracesPerClass = 1;
-  cfg.numThreads = 1;
-  EventSim sim(sbox.netlist(), dm);
-  try {
-    (void)acquire(sbox, sim, power, cfg);
-    FAIL() << "decode mismatch must abort acquisition";
-  } catch (const WorkerError& e) {
-    // Single worker: the failure is the very first trace, and its identity
-    // (index, class, style) is in the message.
-    EXPECT_EQ(e.index(), 0u);
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("trace 0"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("class"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("Unprotected"), std::string::npos) << msg;
-    // The root cause is nested and recoverable.
-    bool sawNested = false;
+  // Auto serves the 16 traces as one batch lane group, Reference as 16
+  // single-trace items: both must report the same failing trace.
+  for (SimEngine engine : {SimEngine::Auto, SimEngine::Reference}) {
+    SCOPED_TRACE("engine " + std::to_string(static_cast<int>(engine)));
+    AcquisitionConfig cfg;
+    cfg.tracesPerClass = 1;
+    cfg.numThreads = 1;
+    cfg.engine = engine;
+    EventSim sim(sbox.netlist(), dm);
     try {
-      std::rethrow_if_nested(e);
-    } catch (const std::exception& nested) {
-      sawNested = true;
-      EXPECT_NE(std::string(nested.what()).find("decode"), std::string::npos);
+      (void)acquire(sbox, sim, power, cfg);
+      FAIL() << "decode mismatch must abort acquisition";
+    } catch (const WorkerError& e) {
+      // Single worker: the failure is the very first trace, and its
+      // identity (index, class, style) is in the message.
+      EXPECT_EQ(e.index(), 0u);
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("trace 0"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("class"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("Unprotected"), std::string::npos) << msg;
+      // The root cause is nested and recoverable.
+      expectNestedDecodeCause(e);
     }
-    EXPECT_TRUE(sawNested);
+  }
+}
+
+TEST(AcquisitionErrors, FailureInsideLaneGroupIsPinnedOnItsTrace) {
+  // Only class 9 is broken: the batch engine simulates two 64-lane groups
+  // and must blame the first class-9 trace, exactly like the reference
+  // engine, which fails on that very trace. One worker, so the lowest
+  // failing trace is always reached (with several, a later shard's
+  // failure may abort the first before it gets there).
+  const BrokenSbox sbox(/*brokenValue=*/9);
+  const DelayModel dm(sbox.netlist());
+  const PowerModel power(sbox.netlist());
+  AcquisitionConfig cfg;
+  cfg.tracesPerClass = 8;  // 128 traces
+  const std::vector<std::uint8_t> schedule =
+      balancedClassSchedule(cfg.tracesPerClass, cfg.seed);
+  const std::size_t first = static_cast<std::size_t>(
+      std::find(schedule.begin(), schedule.end(), 9) - schedule.begin());
+  ASSERT_GT(first % 64, 0u) << "first class-9 trace must not open a group";
+
+  cfg.numThreads = 1;
+  for (SimEngine engine : {SimEngine::Auto, SimEngine::Reference}) {
+    SCOPED_TRACE("engine " + std::to_string(static_cast<int>(engine)));
+    cfg.engine = engine;
+    EventSim sim(sbox.netlist(), dm);
+    try {
+      (void)acquire(sbox, sim, power, cfg);
+      FAIL() << "decode mismatch must abort acquisition";
+    } catch (const WorkerError& e) {
+      EXPECT_EQ(e.index(), first);
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("trace " + std::to_string(first) + " (class 9"),
+                std::string::npos)
+          << msg;
+      expectNestedDecodeCause(e);
+    }
+  }
+}
+
+TEST(AcquisitionErrors, KeyedWorkerErrorNamesPlaintext) {
+  // Keyed traces get the same decode sanity check as balanced ones: the
+  // broken netlist never computes S(plain ^ key), so trace 0 fails, and
+  // the error names its plaintext — the first draw of the trace's stream.
+  const BrokenSbox sbox;
+  const DelayModel dm(sbox.netlist());
+  const PowerModel power(sbox.netlist());
+  const std::uint64_t seed = 3;
+  const int plain = Prng(deriveStreamSeed(seed, 0)).nibble();
+  for (SimEngine engine : {SimEngine::Auto, SimEngine::Reference}) {
+    SCOPED_TRACE("engine " + std::to_string(static_cast<int>(engine)));
+    EventSim sim(sbox.netlist(), dm);
+    try {
+      (void)acquireKeyed(sbox, sim, power, /*key=*/0x6, /*numTraces=*/16,
+                         seed, /*numThreads=*/1, engine);
+      FAIL() << "decode mismatch must abort keyed acquisition";
+    } catch (const WorkerError& e) {
+      EXPECT_EQ(e.index(), 0u);
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("trace 0"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("plaintext " + std::to_string(plain)),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("Unprotected"), std::string::npos) << msg;
+      expectNestedDecodeCause(e);
+    }
   }
 }
 

@@ -326,13 +326,13 @@ TEST(Progress, RateLimitSuppressesIntermediateUpdates) {
 TEST(Progress, SinkReturningFalseAbortsAcquisition) {
   // Abort on the very first callback (the meter's first step always emits),
   // so the abort lands while most of the 64 traces are still pending. The
-  // scalar engines step the meter per trace; pin one so the test keeps its
-  // per-trace granularity now that Auto serves 64+ traces with the batch
-  // engine (whose coarser abort is covered by the test below).
+  // reference engine steps the meter per trace; pin it so the test keeps
+  // its per-trace granularity (Auto serves with the batch engine, whose
+  // coarser abort is covered by the test below).
   ExperimentConfig cfg;
   cfg.acquisition.tracesPerClass = 4;
   cfg.acquisition.numThreads = 2;
-  cfg.acquisition.engine = SimEngine::Compiled;
+  cfg.acquisition.engine = SimEngine::Reference;
   cfg.acquisition.progress = [](const obs::ProgressUpdate&) { return false; };
   SboxExperiment exp(SboxStyle::Glut, cfg);
   try {

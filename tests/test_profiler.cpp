@@ -63,8 +63,7 @@ TraceSet acquireWith(SimEngine engine, std::uint32_t threads,
 // acquired traces — while the profiler still has to come back non-empty,
 // so the test cannot pass vacuously with the hooks compiled out.
 TEST(ProfilerZeroPerturbation, TracesBitIdenticalAllEnginesAndThreads) {
-  for (SimEngine engine :
-       {SimEngine::Reference, SimEngine::Compiled, SimEngine::Batch}) {
+  for (SimEngine engine : {SimEngine::Reference, SimEngine::Batch}) {
     const TraceSet plain = acquireWith(engine, 1, nullptr);
     for (std::uint32_t threads : {1u, 2u}) {
       obs::Profiler profiler;
@@ -87,11 +86,11 @@ TEST(ProfilerZeroPerturbation, TracesBitIdenticalAllEnginesAndThreads) {
 }
 
 TEST(ProfilerZeroPerturbation, EngineChoiceDoesNotLeakIntoOtherEngines) {
-  // Reference vs profiled-batch vs profiled-compiled: the cross-engine
-  // determinism contract survives profiling (same traces from all three).
+  // Reference vs profiled batch at two thread counts: the cross-engine
+  // determinism contract survives profiling.
   const TraceSet reference = acquireWith(SimEngine::Reference, 1, nullptr);
   obs::Profiler p1, p2;
-  expectBitIdentical(reference, acquireWith(SimEngine::Compiled, 2, &p1));
+  expectBitIdentical(reference, acquireWith(SimEngine::Batch, 2, &p1));
   expectBitIdentical(reference, acquireWith(SimEngine::Batch, 1, &p2));
 }
 
@@ -388,7 +387,8 @@ TEST(ProfilerReset, ClearsTalliesKeepsSizing) {
   EXPECT_EQ(profiler.numNets(), 8u);  // sizing survives
   // Labels survive too: a fresh tally on the same net keeps its name.
   profiler.addNetEvents(2, 1, 1, 0, 0);
-  const obs::Json* rows = profiler.toJson().find("nets")->find("rows");
+  const obs::Json doc = profiler.toJson();  // rows point into it
+  const obs::Json* rows = doc.find("nets")->find("rows");
   ASSERT_EQ(rows->elements().size(), 1u);
   EXPECT_EQ(rows->elements()[0].find("label")->asString(), "AND2_X1");
 }

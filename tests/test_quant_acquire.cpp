@@ -1,6 +1,6 @@
 // Tier-1 suite for quantized-grid acquisition plumbing (DESIGN.md §14):
 // Auto never selects the mode (bit-identical to the exact Auto run), the
-// scalar engines reject it at the acquisition layer, a forced quantized
+// reference engine rejects it at the acquisition layer, a forced quantized
 // batch run is deterministic and thread-count invariant, quantized
 // leakage stays sane (the unprotected style still towers over GLUT, and
 // GLUT's total stays in the exact run's neighborhood), and the
@@ -76,11 +76,8 @@ TEST(QuantAcquire, ScalarEnginesRejectQuantized) {
   cfg.tracesPerClass = 2;
   cfg.numThreads = 1;
   cfg.timeQuantization = TimeQuantization::SampleGrid;
-  for (SimEngine engine : {SimEngine::Reference, SimEngine::Compiled}) {
-    cfg.engine = engine;
-    EXPECT_THROW(acquire(*sbox, sim, pm, cfg), std::invalid_argument)
-        << "engine " << static_cast<int>(engine);
-  }
+  cfg.engine = SimEngine::Reference;
+  EXPECT_THROW(acquire(*sbox, sim, pm, cfg), std::invalid_argument);
   EXPECT_THROW(acquireKeyed(*sbox, sim, pm, /*key=*/0xB, 32, /*seed=*/5,
                             /*numThreads=*/1, SimEngine::Reference,
                             TimeQuantization::SampleGrid),

@@ -4,8 +4,8 @@
 // period, exact final states), seed determinism across repeats and
 // clones, the lane-occupancy payoff (quantized waves pop at least twice
 // the lanes of exact waves on the GLUT workload, measured through the
-// profiler census), and the eligibility guards (scalar engines reject the
-// mode; a grid-less or too-deep design rejects the batch constructor).
+// profiler census), and the eligibility guards (the reference engine
+// rejects the mode; a grid-less or too-deep design rejects the batch constructor).
 
 #include "sim/batch_sim.h"
 
@@ -18,7 +18,6 @@
 
 #include "core/experiment.h"
 #include "obs/profiler.h"
-#include "sim/compiled_sim.h"
 #include "sim/event_sim.h"
 #include "trace/acquisition.h"
 #include "trace/prng.h"
@@ -209,7 +208,6 @@ TEST(QuantSim, ScalarEnginesRejectQuantizedOptions) {
   const CompiledDesign design(sbox->netlist(), dm, pm);
   const SimOptions qopts = quantOptions(DelayKind::Inertial);
   EXPECT_THROW(EventSim(sbox->netlist(), dm, qopts), std::invalid_argument);
-  EXPECT_THROW(CompiledSim(design, qopts), std::invalid_argument);
   // The batch engine accepts it on an eligible design.
   EXPECT_NO_THROW(BatchSim(design, qopts));
 }

@@ -75,7 +75,7 @@ TEST(AcquireRange, SlicesConcatenateToFullAcquire) {
   c1.engine = SimEngine::Reference;
   TraceSet got = acquireRange(exp.sbox(), sim, power, c1, 0, 50);
   AcquisitionConfig c2 = cfg;
-  c2.engine = SimEngine::Compiled;
+  c2.engine = SimEngine::Auto;
   got.append(acquireRange(exp.sbox(), sim, power, c2, 50, 51));
   AcquisitionConfig c3 = cfg;
   c3.engine = SimEngine::Batch;
@@ -250,8 +250,7 @@ TEST(ResilientAcquire, DrainStopAndResumeBitIdentical) {
   const std::uint64_t expected =
       jobs::digestOfTraceSet(plain.acquireAt(0.0));
 
-  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Compiled,
-                               SimEngine::Batch};
+  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Batch};
   for (SimEngine firstEngine : engines) {
     for (std::uint32_t threads : {1u, 2u}) {
       const std::string path = tmpPath(
@@ -279,7 +278,7 @@ TEST(ResilientAcquire, DrainStopAndResumeBitIdentical) {
       rest.stopAfterGroups = 0;
       ExperimentConfig cfg2 = ecfg;
       cfg2.acquisition.engine = firstEngine == SimEngine::Reference
-                                    ? SimEngine::Compiled
+                                    ? SimEngine::Batch
                                     : SimEngine::Reference;
       cfg2.acquisition.numThreads = threads == 1 ? 2 : 1;
       SboxExperiment second(SboxStyle::Opt, cfg2);
@@ -466,7 +465,7 @@ TEST(ResilientAcquire, SpotCheckMismatchQuarantinesAndRepairs) {
       jobs::digestOfTraceSet(plain.acquireAt(0.0));
 
   ExperimentConfig cfg = ecfg;
-  cfg.acquisition.engine = SimEngine::Compiled;
+  cfg.acquisition.engine = SimEngine::Batch;
   jobs::JobConfig job;
   job.groupTraces = 32;
   job.spotCheckEveryGroups = 1;  // sample every fast-engine group
@@ -504,7 +503,7 @@ TEST(ResilientAcquire, RepeatedDivergenceQuarantinesEngine) {
       jobs::digestOfTraceSet(plain.acquireAt(0.0));
 
   ExperimentConfig cfg = ecfg;
-  cfg.acquisition.engine = SimEngine::Compiled;
+  cfg.acquisition.engine = SimEngine::Batch;
   jobs::JobConfig job;
   job.groupTraces = 32;
   job.retry.maxAttempts = 4;
@@ -533,8 +532,7 @@ TEST(KillHarness, SigkillMidRunResumesBitIdentically) {
   const std::uint64_t expected =
       jobs::digestOfTraceSet(plain.acquireAt(0.0));
 
-  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Compiled,
-                               SimEngine::Batch};
+  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Batch};
   for (SimEngine engine : engines) {
     for (std::uint32_t threads : {1u, 2u}) {
       const std::string path = tmpPath(

@@ -55,8 +55,7 @@ const char* stopName(stats::AdaptiveStop stop) {
 }
 
 TEST(AdaptiveResilience, MatchesAdaptiveAcquireBitExactly) {
-  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Compiled,
-                               SimEngine::Batch};
+  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Batch};
   // 0.45 stops on the CI target well inside the budget; 1e-6 exhausts it —
   // both stop paths must agree with stats::adaptiveAcquire.
   const double targets[] = {0.45, 1e-6};
@@ -89,8 +88,7 @@ TEST(AdaptiveResilience, MatchesAdaptiveAcquireBitExactly) {
 }
 
 TEST(AdaptiveResilience, DrainAndResumeIsPrefixIdenticalContinuation) {
-  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Compiled,
-                               SimEngine::Batch};
+  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Batch};
   for (SimEngine engine : engines) {
     for (std::uint32_t threads : {1u, 0u}) {  // 0 = hardware concurrency
       ExperimentConfig cfg = adaptiveConfig(128, 1e-6);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "netlist/builder.h"
 #include "sboxes/masked_sbox.h"
 #include "trace/prng.h"
@@ -39,6 +41,30 @@ TEST(DelayModel, BaseDelaysScaleWithFaninAndLoad) {
   const DelayModel dm(nl, opts);
   EXPECT_GT(dm.delayPs(i1), dm.delayPs(i2));
   EXPECT_DOUBLE_EQ(dm.delayPs(i2), baseDelayPs(GateType::Inv, 1));
+}
+
+TEST(DelayModel, ZeroJitterGivesNominalDelaysAndBadSigmaThrows) {
+  NetlistBuilder b;
+  const NetId a = b.input("a");
+  const NetId x = b.xorGate(a, b.inv(a));
+  b.output(b.nandGate({x, a, a}), "y");
+  const Netlist nl = b.take();
+  DelayOptions opts;
+  opts.jitterSigma = 0.0;
+  opts.loadFactorPerFanout = 0.0;
+  for (std::uint64_t seed : {1ULL, 0x5eedULL}) {
+    opts.deviceSeed = seed;  // no draw, so the device seed is irrelevant
+    const DelayModel dm(nl, opts);
+    for (NetId id = 0; id < nl.numGates(); ++id) {
+      const Gate& g = nl.gate(id);
+      EXPECT_EQ(dm.delayPs(id), baseDelayPs(g.type, g.numFanin))
+          << "gate " << id;
+    }
+  }
+  for (double bad : {-0.01, std::nan(""), HUGE_VAL}) {
+    opts.jitterSigma = bad;
+    EXPECT_THROW(DelayModel(nl, opts), std::invalid_argument) << bad;
+  }
 }
 
 TEST(DelayModel, AgingFactorsApplyAndClear) {

@@ -193,10 +193,9 @@ TEST(Exposition, DebugRegistrationRejectsBadNames) {
 // Every metric the engines, the profiler, and the fault campaign register
 // must pass the lint — i.e. survive Prometheus name-mapping unambiguously.
 TEST(Exposition, AllEngineMetricNamesLintClean) {
-  // Touch every registration site: the three exact engines + quantized
+  // Touch every registration site: the two exact engines + quantized
   // batch, the profiler, and a tiny fault campaign.
-  for (SimEngine engine : {SimEngine::Reference, SimEngine::Compiled,
-                           SimEngine::Batch}) {
+  for (SimEngine engine : {SimEngine::Reference, SimEngine::Batch}) {
     ExperimentConfig cfg;
     cfg.acquisition.tracesPerClass = 2;
     cfg.acquisition.engine = engine;

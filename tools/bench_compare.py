@@ -21,7 +21,7 @@ Three classes of checks, strongest first:
        - pinned config params (style, traces_per_class) must equal the
          baseline, so a digest is never compared across configs.
   2. Ratio floors — always enforced: params listed under "min_ratio"
-     (e.g. compiled_speedup, stress_speedup) must meet the recorded
+     (e.g. batch_speedup, stress_speedup) must meet the recorded
      floor. Ratios of two timings on the same machine are portable across
      runners. A floor whose key the candidate report never measured is a
      configuration error (stale bench binary / wrong report), reported by
@@ -58,8 +58,7 @@ RUN_REPORT_SCHEMAS = ("lpa-run-report/1", "lpa-run-report/2",
 PINNED_PARAMS = ("style", "traces_per_class")
 BOOL_PARAMS = ("obs_bit_identical", "engine_bit_identical",
                "quant_deterministic", "stress_bit_identical")
-RATIO_PARAMS = ("compiled_speedup", "batch_speedup", "batch_quant_speedup",
-                "stress_speedup")
+RATIO_PARAMS = ("batch_speedup", "batch_quant_speedup", "stress_speedup")
 RATIO_FLOOR_FRACTION = 0.75  # floor recorded by --update: 75% of measured
 THROUGHPUT_PREFIX = "traces_per_sec"
 

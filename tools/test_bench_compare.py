@@ -37,12 +37,10 @@ FULL_PARAMS = {
     "engine_bit_identical": True,
     "quant_deterministic": True,
     "stress_bit_identical": True,
-    "compiled_speedup": 2.0,
     "batch_speedup": 10.0,
     "batch_quant_speedup": 4.0,
     "stress_speedup": 3.2,
     "traces_per_sec_reference": 15000.0,
-    "traces_per_sec_compiled": 30000.0,
     "traces_per_sec_batch": 150000.0,
     "traces_per_sec_batch_quant": 600000.0,
 }
@@ -70,7 +68,6 @@ class RatioFloors(unittest.TestCase):
     def test_update_records_a_floor_per_ratio_param(self):
         base = baseline_for(FULL_PARAMS)
         floors = base["reports"]["bench_acquire_scaling"]["min_ratio"]
-        self.assertEqual(floors["compiled_speedup"], 1.5)  # 0.75 * 2.0
         self.assertEqual(floors["batch_speedup"], 7.5)  # 0.75 * 10.0
         self.assertEqual(floors["batch_quant_speedup"], 3.0)  # 0.75 * 4.0
         self.assertEqual(floors["stress_speedup"], 2.4)  # 0.75 * 3.2
