@@ -12,7 +12,9 @@
 // quantized-grid batch engines at one thread: the first two must stay
 // bit-identical; the quantized side (DESIGN.md §14) is checked for
 // repeat-run determinism and reported as batch_quant_speedup, the ratio
-// the CI perf gate pins.
+// the CI perf gate pins. A second, bit-identical reference-vs-Auto A/B on
+// RSM-ROM at 1024 traces (rsm_rom_batch_speedup, also gated) covers the
+// style whose lane groups depend most on stimulus packing.
 //
 // A stress-profiling A/B times SboxExperiment::stressProfile() (lane
 // groups on the batch engine) against the sequential reference EventSim
@@ -316,6 +318,44 @@ int main(int argc, char** argv) {
   report.setParam("traces_per_sec_batch", n / secsBat);
   report.setParam("batch_speedup", batchSpeedup);
   report.setParam("engine_bit_identical", obs::Json(engIdentical));
+
+  // RSM-ROM engine A/B: the reference engine vs Auto (the batch engine)
+  // on the style with the deepest ripple planes, whose lanes diverge most
+  // — the occupancy case stimulus packing targets. Fixed at the paper's
+  // 1024 traces and one thread; interleaved min of both sides, and the
+  // digests must match bit for bit. rsm_rom_batch_speedup is gated.
+  std::printf("\nRSM-ROM engine A/B (reference vs auto, 1024 traces, "
+              "1 thread):\n");
+  auto makeRsmRom = [&](SimEngine engine) {
+    ExperimentConfig rcfg;
+    rcfg.acquisition.tracesPerClass = 64;
+    rcfg.acquisition.numThreads = 1;
+    rcfg.acquisition.engine = engine;
+    return SboxExperiment(SboxStyle::RsmRom, rcfg);
+  };
+  SboxExperiment romRef = makeRsmRom(SimEngine::Reference);
+  SboxExperiment romAuto = makeRsmRom(SimEngine::Auto);
+  double secsRomRef = 1e300, secsRomAuto = 1e300;
+  double digRomRef = 0.0, digRomAuto = 0.0;
+  {
+    obs::PhaseTimer phase(report, "ab.rsm_rom");
+    for (int rep = 0; rep < 5; ++rep) {
+      TraceSet ts(1);
+      secsRomRef = std::min(
+          secsRomRef, bench::bestOf(1, [&] { ts = romRef.acquireAt(0.0); }));
+      digRomRef = digest(ts);
+      secsRomAuto = std::min(
+          secsRomAuto, bench::bestOf(1, [&] { ts = romAuto.acquireAt(0.0); }));
+      digRomAuto = digest(ts);
+    }
+  }
+  const double romSpeedup = secsRomRef / secsRomAuto;
+  const bool romIdentical = digRomRef == digRomAuto;
+  allIdentical = allIdentical && romIdentical;
+  std::printf("  reference %.4fs, auto %.4fs (%.2fx), bit-ident %s\n",
+              secsRomRef, secsRomAuto, romSpeedup,
+              romIdentical ? "yes" : "NO");
+  report.setParam("rsm_rom_batch_speedup", romSpeedup);
 
   // Engine C: the quantized-grid batch mode (DESIGN.md §14) vs the exact
   // batch engine, one thread, opt-in SampleGrid quantization. Quantized

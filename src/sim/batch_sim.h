@@ -8,7 +8,10 @@
 // Gate evaluation becomes a handful of bitwise ops producing all 64 lanes
 // at once (see evalTable64 in batch_sim.cpp), and lanes whose waveforms
 // coincide share queue entries, so the per-trace event cost drops by up to
-// the cluster factor of the stimulus set.
+// the cluster factor of the lanes in one group. Acquisition raises that
+// factor by packing each group by stimulus (trace/acquisition.h): lanes
+// that settle on the same initial encoding and apply similar final inputs
+// commit at the same times.
 //
 // ## Lane-masked event waves
 //

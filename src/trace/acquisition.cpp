@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <exception>
 #include <functional>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "crypto/present.h"
@@ -82,14 +84,35 @@ struct JournalAcquireScope {
   }
 };
 
-/// The stimuli of a group of consecutive traces, lane-indexed in the
-/// layout BatchSim takes them (the reference engine reads lane 0).
+/// The stimuli of a set of traces, lane-indexed in the layout BatchSim
+/// takes them (the reference engine reads lane 0). `traces[l]` is lane l's
+/// schedule index.
 struct Stimuli {
+  std::vector<std::size_t> traces;
   std::vector<std::uint8_t> labels;  ///< class (balanced) or plaintext
   std::vector<std::vector<std::uint8_t>> inits, fins;
   std::vector<std::uint64_t> noiseSeeds;
   std::vector<std::uint8_t> expected;  ///< S-box outputs the decode check
                                        ///< demands
+
+  void reserve(std::size_t k) {
+    traces.reserve(k);
+    labels.reserve(k);
+    inits.reserve(k);
+    fins.reserve(k);
+    noiseSeeds.reserve(k);
+    expected.reserve(k);
+  }
+
+  /// Moves entry `k` of `from` to the end of this set.
+  void take(Stimuli& from, std::size_t k) {
+    traces.push_back(from.traces[k]);
+    labels.push_back(from.labels[k]);
+    inits.push_back(std::move(from.inits[k]));
+    fins.push_back(std::move(from.fins[k]));
+    noiseSeeds.push_back(from.noiseSeeds[k]);
+    expected.push_back(from.expected[k]);
+  }
 };
 
 /// One acquisition: traces [begin, end) of a schedule whose trace i
@@ -109,15 +132,56 @@ struct Plan {
   std::function<void(std::size_t, Stimuli&)> draw;
 };
 
+/// Cuts the drawn stimuli of a call into work items of up to `width`
+/// traces. Lane groups (width > 1) are packed by stimulus: traces sorted
+/// by (initial encoding, final encoding, index) fill consecutive groups,
+/// so lanes with the same settled state and similar final inputs commit
+/// at the same times and share event waves. Every group's lanes are then
+/// put in ascending trace order, so a group's lowest lane is its lowest
+/// trace. Packing is a function of the stimuli alone — never of the
+/// thread count — and invisible in the result, because every lane is
+/// bit-identical to its own scalar run whichever lanes share its group.
+std::vector<Stimuli> pack(Stimuli& all, std::size_t width) {
+  const std::size_t n = all.traces.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t(0));
+  if (width > 1) {
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return std::tie(all.inits[a], all.fins[a], a) <
+             std::tie(all.inits[b], all.fins[b], b);
+    });
+  }
+  std::vector<Stimuli> groups((n + width - 1) / width);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const auto first = order.begin() + g * width;
+    const auto last = order.begin() + std::min(n, (g + 1) * width);
+    std::sort(first, last);
+    groups[g].reserve(static_cast<std::size_t>(last - first));
+    for (auto k = first; k != last; ++k) groups[g].take(all, *k);
+  }
+  return groups;
+}
+
+/// The lane whose failure aborted a whole-group run: the watchdog's
+/// diverged lane on the batch engine, the only lane on the reference one.
+int groupFailureLane(const BatchSim& sim) {
+  return std::max(sim.divergedLane(), 0);
+}
+int groupFailureLane(const EventSim&) { return 0; }
+
 /// The one engine-dispatch body behind acquire(), acquireRange() and
-/// acquireKeyed(). The sharded work item is a group of `width` consecutive
-/// trace indices — a BatchSim lane group, or a single trace on the
-/// reference engine — so trace grouping is a global function of the index
-/// and the result is thread-count invariant (worker shards cover
-/// contiguous group ranges and are concatenated in group order). Progress
-/// stays trace-denominated, and a failure is reported against the trace
-/// that caused it: the failing lane for a decode mismatch, the group's
-/// first trace for a failure of the whole group (e.g. SimDiverged).
+/// acquireKeyed(). The call's stimuli are drawn first and packed into work
+/// items (pack(): BatchSim lane groups, or single traces on the reference
+/// engine), workers claim items from the pool's cursor, and every lane's
+/// trace is written straight into its schedule slot of the result — so
+/// the TraceSet is thread-count invariant. Progress stays
+/// trace-denominated. A failure is recorded, not thrown into the pool, and
+/// blamed on its trace: a group checks its lanes in trace order and blames
+/// the first that fails the decode check; a failure of the whole group
+/// (e.g. SimDiverged) blames the diverged lane's trace. Workers skip every
+/// group that cannot hold a trace below the lowest failure recorded so
+/// far, and the call rethrows that failure — exactly the lowest failing
+/// trace, for any thread count.
 TraceSet run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
              const Plan& plan) {
   const SimEngine engine = resolveEngine(plan.engine, sim, power);
@@ -144,54 +208,61 @@ TraceSet run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
                         {"engine", engineName}});
   JournalAcquireScope journalScope{plan.spanLabel};
 
-  std::vector<TraceSet> shards(threads, TraceSet(numSamples));
-  for (std::uint32_t w = 0; w < threads; ++w) {
-    shards[w].reserve((numGroups * (w + 1) / threads -
-                       numGroups * w / threads) *
-                      width);
+  Stimuli all;
+  all.reserve(n);
+  for (std::size_t i = plan.begin; i < plan.end; ++i) {
+    all.traces.push_back(i);
+    plan.draw(i, all);
   }
-  std::vector<std::size_t> blamed(numGroups);  ///< failing trace per group
+  const std::vector<Stimuli> groups = pack(all, width);
+
+  TraceSet traces(numSamples, 16, n);
+  detail::LowestFailure failure;
+  const auto describe = [&](std::size_t i) {
+    return std::string(plan.spanLabel) + " trace " + std::to_string(i) +
+           " (" + plan.labelName + " " +
+           std::to_string(static_cast<int>(all.labels[i - plan.begin])) +
+           ", style " + std::string(sbox.name()) + ")";
+  };
   const auto runGroups = [&](auto& proto, const auto& simulate) {
     detail::shardedForEachClone(
         proto, numGroups, threads,
-        [&](auto& worker, std::uint32_t w, std::size_t g) {
-          const std::size_t first = plan.begin + g * width;
-          const std::size_t lanes = std::min(width, plan.end - first);
-          blamed[g] = first;
-          Stimuli group;
-          for (std::size_t l = 0; l < lanes; ++l) plan.draw(first + l, group);
+        [&](auto& worker, std::uint32_t, std::size_t g) {
+          const Stimuli& group = groups[g];
+          if (!failure.below(group.traces.front())) return;
+          int failedLane = -1;
           // Functional sanity: the netlist must produce the right unmasked
-          // value. A lane that fails it takes the blame for its group.
-          const auto check = [&](std::size_t l,
-                                 const std::vector<std::uint8_t>& outputs) {
-            blamed[g] = first + l;
+          // value. A lane that passes writes its trace to its schedule slot.
+          const auto store = [&](std::size_t l,
+                                 const std::vector<std::uint8_t>& outputs,
+                                 const double* samples) {
             if (sbox.decode(outputs, group.fins[l]) != group.expected[l]) {
+              failedLane = static_cast<int>(l);
               throw std::logic_error("acquisition: decode mismatch");
             }
+            traces.set(group.traces[l] - plan.begin, group.labels[l],
+                       samples);
           };
-          simulate(worker, group, check, shards[w]);
-          if (lanes > 1) meter.step(lanes - 1);
+          try {
+            simulate(worker, group, store);
+          } catch (...) {
+            if (failedLane < 0) failedLane = groupFailureLane(worker);
+            failure.record(group.traces[static_cast<std::size_t>(failedLane)],
+                           std::current_exception());
+            return;
+          }
+          if (group.traces.size() > 1) meter.step(group.traces.size() - 1);
         },
-        [&](std::size_t g) {
-          const std::size_t i = blamed[g];
-          Stimuli failed;
-          plan.draw(i, failed);
-          return std::string(plan.spanLabel) + " trace " +
-                 std::to_string(i) + " (" + plan.labelName + " " +
-                 std::to_string(static_cast<int>(failed.labels[0])) +
-                 ", style " + std::string(sbox.name()) + ")";
-        },
+        [&](std::size_t g) { return describe(groups[g].traces.front()); },
         &meter, plan.spanLabel);
   };
 
   try {
     if (batch) {
-      // Lane l of a group is trace first + l with its own stimuli, so the
-      // TraceSet is bit-identical to the reference engine's regardless of
-      // how traces fall into groups. Under the quantized-grid opt-in the
-      // per-lane stimuli are unchanged, so the quantized result stays
-      // deterministic in seed, thread-count invariant and
-      // slice-concatenation safe — just not bit-identical to Exact.
+      // Under the quantized-grid opt-in the per-lane stimuli are unchanged
+      // and lanes stay independent, so the quantized result is packed the
+      // same way and stays deterministic in seed, thread-count invariant
+      // and slice-concatenation safe — just not bit-identical to Exact.
       const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
       SimOptions bopts = sim.options();
       bopts.timeQuantization = quantization;
@@ -199,14 +270,11 @@ TraceSet run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
       bsim.attachMetrics(sim.metricsRegistry());
       bsim.attachProfiler(plan.profiler);
       runGroups(bsim, [&](BatchSim& worker, const Stimuli& group,
-                          const auto& check, TraceSet& out) {
+                          const auto& store) {
         worker.settle(group.inits);
         worker.runFused(group.fins, group.noiseSeeds);
-        for (std::uint32_t l = 0; l < group.labels.size(); ++l) {
-          check(l, worker.outputValues(l));
-          const double* trace = worker.laneTrace(l);
-          out.add(group.labels[l],
-                  std::vector<double>(trace, trace + numSamples));
+        for (std::uint32_t l = 0; l < group.traces.size(); ++l) {
+          store(l, worker.outputValues(l), worker.laneTrace(l));
         }
       });
     } else {
@@ -215,30 +283,19 @@ TraceSet run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
       // attachment the caller installed on the prototype.
       if (plan.profiler != nullptr) sim.attachProfiler(plan.profiler);
       runGroups(sim, [&](EventSim& worker, const Stimuli& group,
-                         const auto& check, TraceSet& out) {
+                         const auto& store) {
         worker.settle(group.inits[0]);
         const std::vector<Transition> transitions = worker.run(group.fins[0]);
-        check(0, worker.outputValues());
-        out.add(group.labels[0],
-                power.sample(transitions, group.noiseSeeds[0]));
+        store(0, worker.outputValues(),
+              power.sample(transitions, group.noiseSeeds[0]).data());
       });
     }
-  } catch (const WorkerError& e) {
-    // The pool names the failing group; re-pin the failure on its trace.
-    const std::size_t i = blamed[e.index()];
-    try {
-      std::rethrow_if_nested(e);
-    } catch (...) {
-      std::throw_with_nested(WorkerError(i, e.what()));
-    }
+  } catch (const obs::ProgressAborted&) {
+    failure.rethrowIfAny(describe);  // a trace failure outranks an abort
     throw;
   }
+  failure.rethrowIfAny(describe);
   meter.finish();
-  if (shards.size() == 1) return std::move(shards[0]);
-  obs::Span mergeSpan(std::string(plan.spanLabel) + " merge shards");
-  TraceSet traces(numSamples);
-  traces.reserve(n);
-  for (const TraceSet& shard : shards) traces.append(shard);
   return traces;
 }
 

@@ -28,24 +28,38 @@
 //
 // In particular the noise seed passed to PowerModel::sample is a function
 // of (seed, i), i.e. of the trace's *identity*, never of schedule position
-// in some shared generator or of which worker ran the trace. Worker 0 runs
-// on the prototype simulator and every other worker on a clone of it
-// (sharing the netlist and the DelayModel, so per-instance process jitter
-// is shared, not re-rolled); workers fill private TraceSets over
-// contiguous index ranges, and the shards are concatenated in index order.
+// in some shared generator or of which worker ran the trace.
+//
+// A call draws the stimuli of all its traces first, then packs them into
+// work items. On the batch engine an item is a lane group of up to 64
+// traces, packed by stimulus: traces sorted by (initial encoding, final
+// encoding, index) fill consecutive groups, so lanes that settle on the
+// same state and apply similar inputs commit at the same times and share
+// event waves. Packing depends only on the call's stimuli, and it is
+// invisible in the result: every lane is bit-identical to its own scalar
+// run whichever lanes share its group. On the reference engine an item is
+// one trace. Worker 0 runs on the prototype simulator and every other
+// worker on a clone of it (sharing the netlist and the DelayModel, so
+// per-instance process jitter is shared, not re-rolled); workers claim
+// items from the pool's shared cursor (trace/sharded_pool.h) and write
+// every trace straight into its schedule slot of one pre-sized TraceSet.
 //
 // ## Failure semantics
 //
 // A trace that throws (decode mismatch, SimDiverged from the watchdog,
-// out-of-memory, ...) aborts the remaining workers via an atomic flag and
-// is rethrown as a WorkerError (trace/sharded_pool.h) that names the trace
-// index, its class/plaintext, and the implementation style, with the
-// original exception nested. Among concurrent failures the lowest trace
-// index wins, so the reported failure does not depend on thread timing.
-// WorkerError::index() is that trace's schedule index on both engines: on
-// the batch engine, whose work item is a lane group, a decode mismatch is
-// pinned on the failing lane and a failure of the whole group (e.g.
-// SimDiverged) on the group's first trace.
+// out-of-memory, ...) is recorded by the call, not thrown into the pool,
+// and rethrown after the workers finish as a WorkerError
+// (trace/sharded_pool.h) that names the trace index, its class/plaintext,
+// and the implementation style, with the original exception nested.
+// WorkerError::index() is exactly the LOWEST failing trace, on both
+// engines and for any thread count: once a failure is recorded, workers
+// skip only the items whose lowest trace index is at or above it, so every
+// item that could hold a lower failing trace still runs. A lane group
+// checks its lanes in trace order and blames the first that fails the
+// decode check; a failure of the whole group (SimDiverged) blames the
+// trace of BatchSim::divergedLane(). A trace failure outranks a
+// cooperative abort (ProgressAborted) that races with it; the trace
+// reported is then the lowest failure recorded before the abort.
 
 #include <cstdint>
 

@@ -1,18 +1,25 @@
 #pragma once
-// Fail-safe sharded worker pool shared by the acquisition engine and the
-// fault-injection campaign runner.
+// Fail-safe sharded worker pool shared by the acquisition engine, the
+// stress profiler and the fault-injection campaign runner.
 //
-// Work items [0, n) are split into contiguous index blocks, one per worker
-// thread (the PR 1 sharding scheme: results concatenated in index order are
-// invariant in the thread count as long as item i depends only on i).
+// Work items [0, n) are handed out from one shared atomic cursor in
+// ascending index order. A worker claims a run of the unclaimed items — a
+// 1 / (2 x threads) share of them, shrinking to single items at the tail
+// (guided self-scheduling) — so items of uneven cost (the acquisition's
+// stimulus-packed lane groups) balance across workers. The calling thread
+// is worker 0; the other workers are threads spawned per call. Which
+// worker runs which item therefore depends on thread timing; callers keep
+// their results invariant in the thread count by writing item i's result
+// to slot i (acquisition, fault campaign) or by merging per-worker
+// tallies exactly (stress profiling).
 //
 // Failure semantics ("fail-safe acquisition"):
-//   * the first item that throws sets an atomic abort flag; every worker
-//     checks it before starting its next item, so doomed shards stop early
-//     instead of running to completion;
-//   * among all failures that occurred before the abort propagated, the one
-//     with the LOWEST item index wins (not first-by-worker-order, which
-//     would depend on thread timing);
+//   * a failing item stops every item above it: workers check before each
+//     item and skip it once a failure at or below its index is recorded,
+//     so doomed work stops early instead of running to completion;
+//   * items below the lowest recorded failure still run, so the failure
+//     reported is exactly the lowest failing item, for any thread count
+//     (the cursor is monotone: a run is claimed before any higher one);
 //   * the winning failure is rethrown as a WorkerError carrying the item
 //     index and a caller-supplied description of the item's identity, with
 //     the original exception nested (std::throw_with_nested) for callers
@@ -22,10 +29,10 @@
 // finished item (relaxed atomic; the render callback is rate-limited inside
 // the meter) and doubles as a cooperative abort channel — a sink returning
 // false makes every worker stop before its next item and the pool throw
-// ProgressAborted. An optional span label wraps each worker's shard in a
+// ProgressAborted. An optional span label wraps each worker's run in a
 // Chrome-trace span on that worker's own track, so chrome://tracing shows
-// one row per worker with its shard extent. Both hooks are pure sinks: the
-// work a finished item computed is never altered (zero-perturbation).
+// one row per worker. Both hooks are pure sinks: the work a finished item
+// computed is never altered (zero-perturbation).
 
 #include <algorithm>
 #include <atomic>
@@ -114,13 +121,57 @@ inline std::uint32_t resolveWorkerThreads(std::uint32_t requested,
 
 namespace detail {
 
-/// Runs body(w, i) for every i in [0, n), sharded over `threads` workers in
-/// contiguous blocks (worker w covers [n*w/threads, n*(w+1)/threads)).
-/// `describe(i)` renders the item's identity for error reporting and is
-/// only called on failure. `progress`, if given, is stepped per finished
-/// item and consulted for cooperative abort (throws obs::ProgressAborted);
-/// `spanLabel`, if given, wraps each worker's shard in a Chrome-trace span.
-/// See the header comment for failure semantics.
+/// The lowest-index failure among concurrent work: record() keeps the
+/// failure with the smallest index (thread-safe), below() tells a worker
+/// whether an index could still lower it, and rethrowIfAny() rethrows the
+/// winner as a WorkerError (see the header comment).
+class LowestFailure {
+ public:
+  /// Keeps `error` if `index` is lower than every failure recorded so far.
+  void record(std::size_t index, std::exception_ptr error) {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (index < lowest_.load(std::memory_order_relaxed)) {
+      error_ = std::move(error);
+      lowest_.store(index, std::memory_order_relaxed);
+    }
+  }
+
+  /// True while no failure at or below `index` has been recorded.
+  bool below(std::size_t index) const {
+    return index < lowest_.load(std::memory_order_relaxed);
+  }
+
+  /// Rethrows the recorded failure as WorkerError(index, describe(index) +
+  /// ": " + what()) with the original nested; no-op if none was recorded.
+  /// Call after the workers have joined.
+  template <typename Describe>
+  void rethrowIfAny(const Describe& describe) const {
+    if (error_ == nullptr) return;
+    const std::size_t index = lowest_.load(std::memory_order_relaxed);
+    try {
+      std::rethrow_exception(error_);
+    } catch (const std::exception& e) {
+      std::throw_with_nested(
+          WorkerError(index, describe(index) + ": " + e.what()));
+    } catch (...) {
+      std::throw_with_nested(WorkerError(index, describe(index)));
+    }
+  }
+
+ private:
+  static constexpr std::size_t kNone = ~std::size_t(0);
+  std::mutex mu_;
+  std::atomic<std::size_t> lowest_{kNone};
+  std::exception_ptr error_;
+};
+
+/// Runs body(w, i) for every i in [0, n) on `threads` workers that claim
+/// runs of items from a shared cursor in ascending index order (see the
+/// header comment). `describe(i)` renders the item's identity for error
+/// reporting and is only called on failure. `progress`, if given, is
+/// stepped per finished item and consulted for cooperative abort (throws
+/// obs::ProgressAborted); `spanLabel`, if given, wraps each worker's run in
+/// a Chrome-trace span. See the header comment for failure semantics.
 template <typename Body, typename Describe>
 void shardedFor(std::size_t n, std::uint32_t threads, const Body& body,
                 const Describe& describe,
@@ -128,78 +179,54 @@ void shardedFor(std::size_t n, std::uint32_t threads, const Body& body,
                 const char* spanLabel = nullptr) {
   if (n == 0) return;
 
-  std::exception_ptr failError;
-  std::size_t failIndex = 0;
-  bool failed = false;
+  LowestFailure failure;
+  std::atomic<std::size_t> cursor{0};
+  const std::size_t divisor = 2 * std::size_t(std::max(threads, 1u));
   const auto aborted = [&] {
     return progress != nullptr && progress->abortRequested();
   };
-  const auto shardSpanName = [&](std::uint32_t w, std::size_t begin,
-                                 std::size_t end) {
-    return std::string(spanLabel) + " shard w" + std::to_string(w) + " [" +
-           std::to_string(begin) + ", " + std::to_string(end) + ")";
+  const auto work = [&](std::uint32_t w) {
+    if (spanLabel && w > 0) {
+      obs::TraceCollector::global().nameThisThreadTrack(
+          "worker-" + std::to_string(w));
+    }
+    obs::Span span(
+        spanLabel ? std::string(spanLabel) + " shard w" + std::to_string(w)
+                  : std::string(),
+        spanLabel ? &obs::TraceCollector::global() : nullptr);
+    std::size_t begin = cursor.load(std::memory_order_relaxed);
+    for (;;) {
+      // Claim [begin, end): a share of the unclaimed items that shrinks to
+      // single items at the tail (guided self-scheduling).
+      std::size_t end;
+      do {
+        if (begin >= n) return;
+        end = begin + std::max<std::size_t>(1, (n - begin) / divisor);
+      } while (!cursor.compare_exchange_weak(begin, end,
+                                             std::memory_order_relaxed));
+      for (std::size_t i = begin; i < end; ++i) {
+        // A failure stops every item above it; lower ones still run, so
+        // the lowest failing item is always reached.
+        if (!failure.below(i) || aborted()) return;
+        try {
+          body(w, i);
+          if (progress) progress->step();
+        } catch (...) {
+          failure.record(i, std::current_exception());
+          return;
+        }
+      }
+      begin = cursor.load(std::memory_order_relaxed);
+    }
   };
 
-  if (threads <= 1) {
-    obs::Span span(spanLabel ? shardSpanName(0, 0, n) : std::string(),
-                   spanLabel ? &obs::TraceCollector::global() : nullptr);
-    for (std::size_t i = 0; i < n && !failed && !aborted(); ++i) {
-      try {
-        body(0u, i);
-        if (progress) progress->step();
-      } catch (...) {
-        failError = std::current_exception();
-        failIndex = i;
-        failed = true;
-      }
-    }
-  } else {
-    std::atomic<bool> abort{false};
-    std::mutex mu;
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::uint32_t w = 0; w < threads; ++w) {
-      pool.emplace_back([&, w] {
-        const std::size_t begin = n * w / threads;
-        const std::size_t end = n * (w + 1) / threads;
-        if (spanLabel) {
-          obs::TraceCollector::global().nameThisThreadTrack(
-              "worker-" + std::to_string(w));
-        }
-        obs::Span span(spanLabel ? shardSpanName(w, begin, end)
-                                 : std::string(),
-                       spanLabel ? &obs::TraceCollector::global() : nullptr);
-        for (std::size_t i = begin; i < end; ++i) {
-          if (abort.load(std::memory_order_relaxed) || aborted()) return;
-          try {
-            body(w, i);
-            if (progress) progress->step();
-          } catch (...) {
-            std::lock_guard<std::mutex> lk(mu);
-            if (!failed || i < failIndex) {
-              failError = std::current_exception();
-              failIndex = i;
-              failed = true;
-            }
-            abort.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  // The calling thread is worker 0; only the others are spawned.
+  std::vector<std::thread> pool;
+  for (std::uint32_t w = 1; w < threads; ++w) pool.emplace_back(work, w);
+  work(0);
+  for (std::thread& t : pool) t.join();
 
-  if (failed) {
-    try {
-      std::rethrow_exception(failError);
-    } catch (const std::exception& e) {
-      std::throw_with_nested(
-          WorkerError(failIndex, describe(failIndex) + ": " + e.what()));
-    } catch (...) {
-      std::throw_with_nested(WorkerError(failIndex, describe(failIndex)));
-    }
-  }
+  failure.rethrowIfAny(describe);
   if (aborted()) {
     // Denominate in the meter's units, not the pool's item count — a work
     // item may cover several meter units (the batch engine's lane groups),

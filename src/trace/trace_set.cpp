@@ -1,6 +1,8 @@
 #include "trace/trace_set.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace lpa {
 
@@ -11,6 +13,17 @@ void TraceSet::add(std::uint8_t cls, std::vector<double> trace) {
   }
   labels_.push_back(cls);
   samples_.insert(samples_.end(), trace.begin(), trace.end());
+}
+
+void TraceSet::set(std::size_t i, std::uint8_t cls, const double* samples) {
+  if (i >= size()) {
+    throw std::out_of_range("trace index " + std::to_string(i) +
+                            " out of range (size " + std::to_string(size()) +
+                            ")");
+  }
+  if (cls >= numClasses_) throw std::invalid_argument("class out of range");
+  labels_[i] = cls;
+  std::copy(samples, samples + numSamples_, samples_.data() + i * numSamples_);
 }
 
 void TraceSet::reserve(std::size_t n) {

@@ -13,14 +13,30 @@ class TraceSet {
   TraceSet(std::uint32_t numSamples, std::uint32_t numClasses = 16)
       : numSamples_(numSamples), numClasses_(numClasses) {}
 
+  /// A pre-sized set of `size` all-zero class-0 traces, to be filled in
+  /// any order with set() — parallel acquisition writes every trace
+  /// straight into its schedule slot.
+  TraceSet(std::uint32_t numSamples, std::uint32_t numClasses,
+           std::size_t size)
+      : numSamples_(numSamples),
+        numClasses_(numClasses),
+        labels_(size),
+        samples_(size * numSamples) {}
+
   void add(std::uint8_t cls, std::vector<double> trace);
+
+  /// Overwrites trace `i` with label `cls` and numSamples() doubles from
+  /// `samples`. Throws std::out_of_range if i >= size() and
+  /// std::invalid_argument if cls >= numClasses(). Concurrent calls on
+  /// distinct indices are safe (they touch disjoint storage).
+  void set(std::size_t i, std::uint8_t cls, const double* samples);
 
   /// Pre-allocates storage for `n` traces (acquisition knows its size).
   void reserve(std::size_t n);
 
   /// Concatenates `other`'s traces after this set's, preserving order.
-  /// Shapes (numSamples, numClasses) must match. This is how the parallel
-  /// acquisition engine merges per-worker shards in index order.
+  /// Shapes (numSamples, numClasses) must match. The adaptive and
+  /// resilient runners grow their result this way, batch by batch.
   void append(const TraceSet& other);
 
   std::uint32_t numSamples() const { return numSamples_; }

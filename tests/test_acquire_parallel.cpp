@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <thread>
 
 #include "core/experiment.h"
@@ -148,6 +149,52 @@ TEST(AcquireParallel, ExperimentPipelineIsThreadInvariant) {
               par.analyzeAt(months).totalLeakagePower())
         << "at " << months << " months";
   }
+}
+
+// Lane groups are packed by stimulus, not by index (trace/acquisition.h),
+// and every lane is bit-identical to its own scalar run, so packing must
+// be invisible: Auto equals the reference engine bit for bit on the two
+// styles whose packed groups differ most from consecutive ones — RSM-ROM
+// (deep ripple planes) and TI (many shares) — at any thread count.
+TEST(AcquireParallel, PackedLaneGroupsMatchReferenceBitForBit) {
+  for (SboxStyle style : {SboxStyle::RsmRom, SboxStyle::Ti}) {
+    SCOPED_TRACE("style " + std::to_string(static_cast<int>(style)));
+    const auto sbox = makeSbox(style);
+    const DelayModel dm(sbox->netlist());
+    const PowerModel pm(sbox->netlist());
+    EventSim sim(sbox->netlist(), dm);
+    AcquisitionConfig cfg;
+    cfg.tracesPerClass = 64;  // the paper's 1024 traces, 16 lane groups
+    cfg.numThreads = 1;
+    cfg.engine = SimEngine::Reference;
+    const TraceSet reference = acquire(*sbox, sim, pm, cfg);
+    cfg.engine = SimEngine::Auto;
+    for (std::uint32_t t : {1u, 3u}) {
+      cfg.numThreads = t;
+      expectIdentical(reference, acquire(*sbox, sim, pm, cfg));
+    }
+  }
+}
+
+// Packing is a function of one call's stimuli, so slices whose bounds
+// split lane groups anywhere pack differently from the full run — and
+// must still concatenate to it bit for bit (the checkpoint/resume
+// contract of acquireRange).
+TEST(AcquireParallel, UnalignedSlicesConcatenateToFullRun) {
+  const auto sbox = makeSbox(SboxStyle::RsmRom);
+  const DelayModel dm(sbox->netlist());
+  const PowerModel pm(sbox->netlist());
+  EventSim sim(sbox->netlist(), dm);
+  AcquisitionConfig cfg;
+  cfg.tracesPerClass = 16;  // 256 traces
+  cfg.numThreads = 2;
+  const TraceSet full = acquire(*sbox, sim, pm, cfg);
+  TraceSet got(pm.options().numSamples);
+  const std::size_t bounds[] = {0, 37, 101, 130, 192, 255, 256};
+  for (std::size_t k = 0; k + 1 < std::size(bounds); ++k) {
+    got.append(acquireRange(*sbox, sim, pm, cfg, bounds[k], bounds[k + 1]));
+  }
+  expectIdentical(full, got);
 }
 
 TEST(AcquireParallel, DecodeMismatchPropagatesFromWorkers) {

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "crypto/present.h"
 #include "netlist/builder.h"
@@ -144,6 +146,24 @@ TEST(TraceSetErrors, ShapeViolationsThrow) {
   expectThrowContaining<std::invalid_argument>(
       [&] { ts.append(wrongClasses); }, "trace set shape mismatch");
   EXPECT_EQ(ts.size(), 1u);  // failed appends left the set untouched
+}
+
+TEST(TraceSetErrors, SetRejectsOutOfRangeIndexAndClass) {
+  TraceSet ts(2, 16, 3);  // pre-sized: three zero traces of class 0
+  ASSERT_EQ(ts.size(), 3u);
+  const double samples[2] = {1.5, -2.0};
+  ts.set(2, 15, samples);
+  EXPECT_EQ(ts.label(2), 15);
+  EXPECT_EQ(ts.trace(2)[0], 1.5);
+  EXPECT_EQ(ts.trace(2)[1], -2.0);
+  EXPECT_EQ(ts.label(0), 0);
+  EXPECT_EQ(ts.trace(0)[1], 0.0);
+  expectThrowContaining<std::out_of_range>([&] { ts.set(3, 0, samples); },
+                                           "trace index 3 out of range");
+  expectThrowContaining<std::invalid_argument>(
+      [&] { ts.set(0, 16, samples); }, "class out of range");
+  EXPECT_EQ(ts.label(0), 0);  // a rejected set leaves the slot untouched
+  EXPECT_EQ(ts.trace(0)[0], 0.0);
 }
 
 // An S-box whose netlist just buffers its inputs: decode then reads the
@@ -295,20 +315,62 @@ TEST(AcquisitionErrors, ParallelFailurePrefersLowestIndex) {
   const PowerModel power(sbox.netlist());
 
   AcquisitionConfig cfg;
-  cfg.tracesPerClass = 2;  // 32 traces over 4 workers
+  cfg.tracesPerClass = 2;  // 32 traces
+  for (SimEngine engine : {SimEngine::Auto, SimEngine::Reference}) {
+    for (std::uint32_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("engine " + std::to_string(static_cast<int>(engine)) +
+                   ", " + std::to_string(threads) + " threads");
+      cfg.engine = engine;
+      cfg.numThreads = threads;
+      EventSim sim(sbox.netlist(), dm);
+      try {
+        (void)acquire(sbox, sim, power, cfg);
+        FAIL() << "decode mismatch must abort acquisition";
+      } catch (const WorkerError& e) {
+        // Every trace fails. Workers skip only work that cannot hold a
+        // trace below the lowest failure recorded so far, so trace 0 is
+        // always reached and reported, whatever the thread timing.
+        EXPECT_EQ(e.index(), 0u);
+        EXPECT_NE(std::string(e.what()).find("trace 0 "), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(AcquisitionErrors, FailureInsideLaneGroupIsPinnedOnItsTraceOn4Threads) {
+  // The 4-thread form of FailureInsideLaneGroupIsPinnedOnItsTrace: only
+  // class 9 is broken, over 512 traces (8 lane groups packed by stimulus,
+  // so class-9 lanes spread over several groups run by different
+  // workers). The reported failure must still be exactly the first
+  // class-9 trace, as on the reference engine.
+  const BrokenSbox sbox(/*brokenValue=*/9);
+  const DelayModel dm(sbox.netlist());
+  const PowerModel power(sbox.netlist());
+  AcquisitionConfig cfg;
+  cfg.tracesPerClass = 32;
   cfg.numThreads = 4;
-  EventSim sim(sbox.netlist(), dm);
-  try {
-    (void)acquire(sbox, sim, power, cfg);
-    FAIL() << "decode mismatch must abort acquisition";
-  } catch (const WorkerError& e) {
-    // Every trace fails, so each worker that gets to run fails on the FIRST
-    // item of its contiguous 8-trace block before the abort flag stops the
-    // rest. Which workers got that far depends on scheduling, but the
-    // winning index must be a block start — never an interior item, which
-    // would mean a worker kept going past a failure.
-    EXPECT_LT(e.index(), 32u);
-    EXPECT_EQ(e.index() % 8, 0u) << "index " << e.index();
+  const std::vector<std::uint8_t> schedule =
+      balancedClassSchedule(cfg.tracesPerClass, cfg.seed);
+  const std::size_t first = static_cast<std::size_t>(
+      std::find(schedule.begin(), schedule.end(), 9) - schedule.begin());
+  for (SimEngine engine : {SimEngine::Auto, SimEngine::Reference}) {
+    SCOPED_TRACE("engine " + std::to_string(static_cast<int>(engine)));
+    cfg.engine = engine;
+    for (int rep = 0; rep < 3; ++rep) {
+      EventSim sim(sbox.netlist(), dm);
+      try {
+        (void)acquire(sbox, sim, power, cfg);
+        FAIL() << "decode mismatch must abort acquisition";
+      } catch (const WorkerError& e) {
+        EXPECT_EQ(e.index(), first);
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("trace " + std::to_string(first) + " (class 9"),
+                  std::string::npos)
+            << msg;
+        expectNestedDecodeCause(e);
+      }
+    }
   }
 }
 

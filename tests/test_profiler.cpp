@@ -94,6 +94,23 @@ TEST(ProfilerZeroPerturbation, EngineChoiceDoesNotLeakIntoOtherEngines) {
   expectBitIdentical(reference, acquireWith(SimEngine::Batch, 1, &p2));
 }
 
+// Occupancy floor for stimulus packing (trace/acquisition.cpp): lanes that
+// settle on the same initial encoding share a group, so their commits
+// share waves. On RSM-ROM, whose deep ripple planes spread lanes apart in
+// time, groups of consecutive trace indices popped 1.55 lanes per wave;
+// packed groups pop about 3. Deterministic: one thread, default seed.
+TEST(ProfilerOccupancy, StimulusPackingFillsRsmRomWaves) {
+  ExperimentConfig cfg;
+  cfg.acquisition.tracesPerClass = 64;  // 1024 traces = 16 lane groups
+  cfg.acquisition.numThreads = 1;
+  obs::Profiler profiler;
+  SboxExperiment exp(SboxStyle::RsmRom, cfg);
+  exp.attachProfiler(&profiler);
+  exp.acquireAt(0.0);
+  ASSERT_GT(profiler.waves(), 0u);
+  EXPECT_GE(profiler.meanPoppedLanes(), 2.5);
+}
+
 // Run-stride sampling invariants: every sampled wave contributes exactly
 // one popped-lanes bin and one committed-lanes bin (the 0-commit bin
 // included), and the flush scales bins and wave count by the same stride —

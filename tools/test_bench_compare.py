@@ -40,6 +40,7 @@ FULL_PARAMS = {
     "batch_speedup": 10.0,
     "batch_quant_speedup": 4.0,
     "stress_speedup": 3.2,
+    "rsm_rom_batch_speedup": 2.0,
     "traces_per_sec_reference": 15000.0,
     "traces_per_sec_batch": 150000.0,
     "traces_per_sec_batch_quant": 600000.0,
@@ -71,6 +72,7 @@ class RatioFloors(unittest.TestCase):
         self.assertEqual(floors["batch_speedup"], 7.5)  # 0.75 * 10.0
         self.assertEqual(floors["batch_quant_speedup"], 3.0)  # 0.75 * 4.0
         self.assertEqual(floors["stress_speedup"], 2.4)  # 0.75 * 3.2
+        self.assertEqual(floors["rsm_rom_batch_speedup"], 1.5)  # 0.75 * 2.0
 
     def test_stress_ratio_below_floor_fails(self):
         # Stress profiling slipping back toward the reference chain's cost
