@@ -16,6 +16,11 @@
 // RSM-ROM at 1024 traces (rsm_rom_batch_speedup, also gated) covers the
 // style whose lane groups depend most on stimulus packing.
 //
+// An adaptive-window A/B times a fixed-budget adaptive run on RSM-ROM
+// acquired one batch per call against adaptiveAcquire's multi-batch
+// windows (stats/adaptive.h), one thread each; the kept traces must be
+// bit-identical, and adaptive_window_speedup is gated.
+//
 // A stress-profiling A/B times SboxExperiment::stressProfile() (lane
 // groups on the batch engine) against the sequential reference EventSim
 // chain it replaced (bench/stress_reference.h), one thread each, and
@@ -356,6 +361,62 @@ int main(int argc, char** argv) {
               secsRomRef, secsRomAuto, romSpeedup,
               romIdentical ? "yes" : "NO");
   report.setParam("rsm_rom_batch_speedup", romSpeedup);
+
+  // Adaptive-window A/B: a fixed-budget adaptive run on RSM-ROM (32
+  // batches of 128, unreachable target, one thread) acquired one batch per
+  // acquire() call, folded and re-estimated batch by batch, vs
+  // adaptiveAcquire's multi-batch windows (stats/adaptive.h) on the same
+  // simulator stack. Interleaved min of both sides; the kept traces must
+  // match bit for bit. adaptive_window_speedup is gated.
+  std::printf("\nadaptive window A/B (one batch per call vs windows, "
+              "RSM-ROM, 32 x 128 traces, 1 thread):\n");
+  ExperimentConfig wcfg;
+  wcfg.acquisition.numThreads = 1;
+  wcfg.acquisition.batchSize = 128;
+  wcfg.acquisition.maxTraces = 32 * 128;
+  wcfg.acquisition.targetCiRel = 1e-9;
+  const AcquisitionConfig& wacq = wcfg.acquisition;
+  const std::unique_ptr<MaskedSbox> wsbox = makeSbox(SboxStyle::RsmRom);
+  const DelayModel wdelays(wsbox->netlist(), wcfg.delay);
+  const PowerModel wpower(wsbox->netlist(), wcfg.power);
+  EventSim wsim(wsbox->netlist(), wdelays, wcfg.sim);
+  const auto oneBatchPerCall = [&] {
+    TraceSet all(wpower.options().numSamples);
+    stats::StreamingLeakage stream(wpower.options().numSamples);
+    for (std::uint64_t b = 0; b < wacq.maxTraces / wacq.batchSize; ++b) {
+      AcquisitionConfig bcfg = wacq;
+      bcfg.tracesPerClass = wacq.batchSize / 16;
+      bcfg.seed = stats::adaptiveBatchSeed(wacq.seed, b);
+      const TraceSet batch = acquire(*wsbox, wsim, wpower, bcfg);
+      all.append(batch);
+      stream.addTraceSet(batch);
+      (void)stream.estimate();
+    }
+    return all;
+  };
+  double secsLoop = 1e300, secsWindow = 1e300;
+  double digLoop = 0.0, digWindow = 0.0;
+  {
+    obs::PhaseTimer phase(report, "ab.adaptive_window");
+    for (int rep = 0; rep < 5; ++rep) {
+      TraceSet ts(1);
+      secsLoop = std::min(secsLoop,
+                          bench::bestOf(1, [&] { ts = oneBatchPerCall(); }));
+      digLoop = digest(ts);
+      secsWindow = std::min(secsWindow, bench::bestOf(1, [&] {
+        ts = stats::adaptiveAcquire(*wsbox, wsim, wpower, wacq).traces;
+      }));
+      digWindow = digest(ts);
+    }
+  }
+  const double windowSpeedup = secsLoop / secsWindow;
+  const bool windowIdentical = digLoop == digWindow;
+  allIdentical = allIdentical && windowIdentical;
+  std::printf("  one batch per call %.4fs, windows %.4fs (%.2fx), "
+              "bit-ident %s\n",
+              secsLoop, secsWindow, windowSpeedup,
+              windowIdentical ? "yes" : "NO");
+  report.setParam("adaptive_window_speedup", windowSpeedup);
 
   // Engine C: the quantized-grid batch mode (DESIGN.md §14) vs the exact
   // batch engine, one thread, opt-in SampleGrid quantization. Quantized

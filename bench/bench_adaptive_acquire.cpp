@@ -8,8 +8,10 @@
 //   tracesPerClass   fixed-count baseline (default 512 -> 8192 traces)
 //   targetCiRelPct   CI target in percent (default 20 -> ciRel <= 0.20)
 //
-// Reports per style: fixed-count CI, adaptive trace count, stop reason, and
-// the trace savings; plus an adaptive bit-reproducibility check (same
+// Reports per style: fixed-count CI, adaptive trace count, stop reason, the
+// trace savings, and the traces the adaptive run simulated past its stop
+// point and discarded (the cost of acquiring in multi-batch windows,
+// stats/adaptive.h; param adaptive_discarded_<style>); plus an adaptive bit-reproducibility check (same
 // (seed, batchSize) at 1 thread vs hardware concurrency must give identical
 // traces). The headline `adaptive_savings_pct` param is the largest savings
 // among styles that met the target — the acceptance criterion is >= 30%.
@@ -49,8 +51,11 @@ int main(int argc, char** argv) {
                                          SboxStyle::RsmRom, SboxStyle::Isw,
                                          SboxStyle::Ti};
 
-  std::printf("%-10s %8s %10s %10s %10s %11s %9s\n", "impl", "fixed",
-              "fixedCiRel", "adaptive", "adaptCiRel", "stop", "savings");
+  std::printf("%-10s %8s %10s %10s %10s %11s %9s %10s\n", "impl", "fixed",
+              "fixedCiRel", "adaptive", "adaptCiRel", "stop", "savings",
+              "discarded");
+  const obs::Counter discardedCounter =
+      obs::MetricsRegistry::global().counter("adaptive.traces_discarded");
   double bestSavings = 0.0;
   std::string bestStyle;
   bench::DigestAccumulator digest;
@@ -64,19 +69,22 @@ int main(int argc, char** argv) {
         exp.estimateAt(0.0, EstimatorMode::Debiased);
 
     // Adaptive: same budget as the ceiling, stop at the CI target.
+    const std::uint64_t discarded0 = discardedCounter.value();
     const stats::AdaptiveResult adaptive = exp.adaptiveAcquireAt(0.0);
+    const std::uint64_t discarded = discardedCounter.value() - discarded0;
     digest.addTraceSet(adaptive.traces);
 
     const double savings =
         100.0 * (1.0 - static_cast<double>(adaptive.traces.size()) /
                            static_cast<double>(fixedTraces));
     const bool met = adaptive.stop == stats::AdaptiveStop::CiTarget;
-    std::printf("%-10s %8llu %9.1f%% %10zu %9.1f%% %11s %8.1f%%\n",
+    std::printf("%-10s %8llu %9.1f%% %10zu %9.1f%% %11s %8.1f%% %10llu\n",
                 bench::styleName(s).c_str(),
                 static_cast<unsigned long long>(fixedTraces),
                 100.0 * fixed.totalCi.relHalfWidth, adaptive.traces.size(),
                 100.0 * adaptive.estimate.totalCi.relHalfWidth,
-                stats::adaptiveStopName(adaptive.stop), savings);
+                stats::adaptiveStopName(adaptive.stop), savings,
+                static_cast<unsigned long long>(discarded));
 
     scope.report().setLeakage(bench::styleName(s) + ".fixed_total",
                               fixed.total);
@@ -87,6 +95,8 @@ int main(int argc, char** argv) {
         static_cast<double>(adaptive.traces.size()));
     scope.report().setParam("ci_target_met_" + bench::styleName(s),
                             obs::Json(met));
+    scope.report().setParam("adaptive_discarded_" + bench::styleName(s),
+                            static_cast<double>(discarded));
     if (met && savings > bestSavings) {
       bestSavings = savings;
       bestStyle = bench::styleName(s);

@@ -128,7 +128,8 @@ BatchSim::BatchSim(const CompiledDesign& design, const SimOptions& options)
   pendMask_.assign(n, 0);
   pendValueW_.assign(n, 0);
   pendPushId_.assign(n * kLanes, 0);
-  lastCommit_.assign(n * kLanes, CommitStamp{0.0, 0});
+  lastCommitPs_.assign(n * kLanes, 0.0);
+  commitLanes_.assign(n, CommitLanes{0, 0});
   inputWords_.assign(design.inputNets.size(), 0);
   if (quantized_) {
     // Open-wave table: tag 0 never matches a live run (runEpoch_ starts
@@ -144,14 +145,15 @@ BatchSim BatchSim::clone() const {
   // cells), starts from fresh dynamic state and zeroed lane stats.
   BatchSim copy = *this;
   copy.reset();
+  copy.spareBuckets_.clear();  // copies of empty vectors carry no capacity
   return copy;
 }
 
 void BatchSim::reset() {
   std::fill(stateW_.begin(), stateW_.end(), 0);
   std::fill(pendMask_.begin(), pendMask_.end(), 0);
-  // lastCommit_ needs no fill: slots are valid only where their epoch
-  // matches runEpoch_, and runEpoch_ is bumped at every run.
+  // The commit times need no fill: a slot is valid only where its net's
+  // CommitLanes epoch matches runEpoch_, which is bumped at every run.
   scrubQueue();
   pushCounter_ = 0;
   activeLanes_ = 0;
@@ -162,11 +164,7 @@ void BatchSim::reset() {
 }
 
 void BatchSim::scrubQueue() {
-  for (std::uint32_t b : dirtyBuckets_) {
-    buckets_[b].clear();
-    bucketHead_[b] = 0;
-    bucketSorted_[b] = 0;
-  }
+  for (std::uint32_t b : dirtyBuckets_) recycleBucket(b);
   dirtyBuckets_.clear();
   bucketCursor_ = 0;
   eventsInQueue_ = 0;
@@ -269,6 +267,9 @@ void BatchSim::profFlush() {
 std::uint64_t BatchSim::arenaBytes() const {
   std::uint64_t bytes = 0;
   for (const auto& b : buckets_) bytes += b.capacity() * sizeof(QueueEvent);
+  for (const auto& b : spareBuckets_) {
+    bytes += b.capacity() * sizeof(QueueEvent);
+  }
   bytes += bucketHead_.capacity() * sizeof(std::uint32_t);
   bytes += bucketSorted_.capacity();
   bytes += dirtyBuckets_.capacity() * sizeof(std::uint32_t);
@@ -276,7 +277,8 @@ std::uint64_t BatchSim::arenaBytes() const {
             pendValueW_.capacity() + pendPushId_.capacity() +
             inputWords_.capacity()) *
            sizeof(std::uint64_t);
-  bytes += lastCommit_.capacity() * sizeof(CommitStamp);
+  bytes += lastCommitPs_.capacity() * sizeof(double);
+  bytes += commitLanes_.capacity() * sizeof(CommitLanes);
   bytes += openTag_.capacity() * sizeof(std::uint64_t);
   bytes += (openBucket_.capacity() + openIdx_.capacity()) *
            sizeof(std::uint32_t);
@@ -403,10 +405,10 @@ std::vector<std::uint8_t> BatchSim::outputValues(std::uint32_t lane) const {
   return out;
 }
 
-void BatchSim::queuePush(double time, std::uint64_t key, std::uint64_t mask,
-                         std::uint64_t value) {
-  std::size_t idx = static_cast<std::size_t>(time * invBucketWidth_);
-  if (idx >= kMaxBuckets) idx = kMaxBuckets - 1;  // open-ended last bucket
+/// Bucket `idx` ready for a push: the calendar grows to cover it, and a
+/// bucket getting its first push joins the dirty list and takes recycled
+/// storage from the spare list when it has none of its own.
+std::vector<BatchSim::QueueEvent>& BatchSim::pushBucket(std::size_t idx) {
   if (idx >= buckets_.size()) {
     const std::size_t grow = std::max(idx + 1, buckets_.size() * 2);
     buckets_.resize(std::min(grow, kMaxBuckets));
@@ -414,7 +416,30 @@ void BatchSim::queuePush(double time, std::uint64_t key, std::uint64_t mask,
     bucketSorted_.resize(buckets_.size(), 0);
   }
   std::vector<QueueEvent>& b = buckets_[idx];
-  if (b.empty()) dirtyBuckets_.push_back(static_cast<std::uint32_t>(idx));
+  if (b.empty()) {
+    dirtyBuckets_.push_back(static_cast<std::uint32_t>(idx));
+    if (b.capacity() == 0 && !spareBuckets_.empty()) {
+      b.swap(spareBuckets_.back());
+      spareBuckets_.pop_back();
+    }
+  }
+  return b;
+}
+
+/// Empties bucket `idx` and moves its storage to the spare list.
+void BatchSim::recycleBucket(std::size_t idx) {
+  std::vector<QueueEvent>& b = buckets_[idx];
+  b.clear();
+  if (b.capacity() != 0) spareBuckets_.emplace_back().swap(b);
+  bucketHead_[idx] = 0;
+  bucketSorted_[idx] = 0;
+}
+
+void BatchSim::queuePush(double time, std::uint64_t key, std::uint64_t mask,
+                         std::uint64_t value) {
+  std::size_t idx = static_cast<std::size_t>(time * invBucketWidth_);
+  if (idx >= kMaxBuckets) idx = kMaxBuckets - 1;  // open-ended last bucket
+  std::vector<QueueEvent>& b = pushBucket(idx);
   const QueueEvent e{key, timeToBits(time), mask, value};
   b.push_back(e);
   if (bucketSorted_[idx]) {
@@ -450,11 +475,7 @@ BatchSim::QueueEvent BatchSim::queuePop() {
       --eventsInQueue_;
       return b[head++];
     }
-    if (head != 0) {
-      b.clear();
-      head = 0;
-      bucketSorted_[bucketCursor_] = 0;
-    }
+    if (head != 0) recycleBucket(bucketCursor_);
     ++bucketCursor_;
   }
 }
@@ -505,11 +526,11 @@ void BatchSim::runCore(
   std::chrono::steady_clock::time_point profLastSample;
   if (prof) profLastSample = std::chrono::steady_clock::now();
 
-  // lastCommit_ slots are valid only where they carry this run's epoch;
-  // bumping it invalidates every slot in O(1) instead of refilling
-  // numGates x 64 stamps per run (a 64-bit epoch never wraps). A stale
-  // slot reads as "never committed" (weight 1.0), exactly what the scalar
-  // engines' -1e30 sentinel encodes.
+  // Commit-time slots are valid only for the lanes of a CommitLanes record
+  // carrying this run's epoch; bumping it invalidates every slot in O(1)
+  // instead of refilling numGates x 64 times per run (a 64-bit epoch never
+  // wraps). A stale slot reads as "never committed" (weight 1.0), exactly
+  // what the scalar engines' -1e30 sentinel encodes.
   ++runEpoch_;
   // With no watchdog armed (the acquisition default) per-lane event
   // tallies move to bit-sliced vertical counters (a few word ops per wave
@@ -534,7 +555,8 @@ void BatchSim::runCore(
   const double* delayArr = d.delayPs.data();
   const std::uint32_t* levelArr = d.level.data();
   std::uint64_t* stateW = stateW_.data();
-  CommitStamp* lastCommit = lastCommit_.data();
+  double* lastCommitPs = lastCommitPs_.data();
+  CommitLanes* commitLanes = commitLanes_.data();
   const bool quant = quantized_;  // loop-invariant mode select
 
   // Depth bookkeeping for one pushed wave. Fast path: the peak sample
@@ -663,14 +685,7 @@ void BatchSim::runCore(
       throw std::logic_error(
           "BatchSim: quantized step beyond the calendar capacity");
     }
-    if (step >= buckets_.size()) {
-      const std::size_t grow = std::max(step + 1, buckets_.size() * 2);
-      buckets_.resize(std::min(grow, kMaxBuckets));
-      bucketHead_.resize(buckets_.size(), 0);
-      bucketSorted_.resize(buckets_.size(), 0);
-    }
-    std::vector<QueueEvent>& b = buckets_[step];
-    if (b.empty()) dirtyBuckets_.push_back(static_cast<std::uint32_t>(step));
+    std::vector<QueueEvent>& b = pushBucket(step);
     b.push_back(QueueEvent{(std::uint64_t(levelArr[gateId]) << 44) |
                                (std::uint64_t(gateId) << 20) |
                                static_cast<std::uint64_t>(step),
@@ -709,12 +724,14 @@ void BatchSim::runCore(
     const std::uint64_t cm = (stateW[net] ^ nvW) & activeMask_;
     if (cm == 0) continue;
     stateW[net] = (stateW[net] & ~cm) | (nvW & cm);
-    CommitStamp* lc = lastCommit + std::size_t(net) * kLanes;
+    double* lc = lastCommitPs + std::size_t(net) * kLanes;
     for (std::uint64_t m = cm; m != 0; m &= m - 1) {
       const int l = ctz64(m);
-      lc[l] = CommitStamp{0.0, runEpoch_};
+      lc[l] = 0.0;
       weightL_[static_cast<std::size_t>(l)] = 1.0;
     }
+    // Inputs commit first in a run: this net has no earlier commit in it.
+    commitLanes[net] = CommitLanes{runEpoch_, cm};
     if (fastTallies_) {
       committedBS_.add(cm);
     } else {
@@ -842,21 +859,24 @@ void BatchSim::runCore(
     stateW[eNet] = (stateW[eNet] & ~commitM) | (e.value & commitM);
     // Partial-swing weighting per lane, the reference expression shapes
     // verbatim (the gap is lane-local, the swing window design-global).
-    // A stale lastCommit slot (epoch mismatch) means no commit yet this
-    // run: gap >= swingPs for any reachable eTime, so weight stays 1.0 —
-    // same result the -1e30 sentinel produced.
+    // A lane outside the net's CommitLanes set for this run has no commit
+    // yet this run: gap >= swingPs for any reachable eTime, so weight stays
+    // 1.0 — same result the -1e30 sentinel produced.
     const double swingPs = opts_.fullSwingFactor * delayArr[eNet];
-    CommitStamp* lc = lastCommit + std::size_t(eNet) * kLanes;
+    CommitLanes& seen = commitLanes[eNet];
+    if (seen.epoch != runEpoch_) seen = CommitLanes{runEpoch_, 0};
+    double* lc = lastCommitPs + std::size_t(eNet) * kLanes;
     for (std::uint64_t m = commitM; m != 0; m &= m - 1) {
       const std::size_t l = static_cast<std::size_t>(ctz64(m));
       double weight = 1.0;
-      if (swingPs > 0.0 && lc[l].epoch == runEpoch_) {
-        const double gap = eTime - lc[l].ps;
+      if (swingPs > 0.0 && ((seen.lanes >> l) & 1u) != 0) {
+        const double gap = eTime - lc[l];
         if (gap < swingPs) weight = gap / swingPs;
       }
-      lc[l] = CommitStamp{eTime, runEpoch_};
+      lc[l] = eTime;
       weightL_[l] = weight;
     }
+    seen.lanes |= commitM;
     if (fastTallies_) {
       committedBS_.add(commitM);
     } else {
@@ -874,9 +894,7 @@ void BatchSim::runCore(
     }
   }
   if (bucketCursor_ < buckets_.size() && bucketHead_[bucketCursor_] != 0) {
-    buckets_[bucketCursor_].clear();
-    bucketHead_[bucketCursor_] = 0;
-    bucketSorted_[bucketCursor_] = 0;
+    recycleBucket(bucketCursor_);
   }
   recordRun();
 }

@@ -138,7 +138,8 @@ class BatchSim {
   BatchSim clone() const;
 
   /// Clears dynamic state as if freshly constructed (arenas keep their
-  /// capacity — reset does not give memory back).
+  /// capacity — reset does not give memory back; calendar bucket storage
+  /// goes to the spare list and is reused by later runs).
   void reset();
 
   /// Establishes a steady state: lane l settles on laneInputs[l]
@@ -250,6 +251,12 @@ class BatchSim {
   /// without changing the order. Exhausted buckets are scrubbed as the
   /// cursor leaves them, so a completed run leaves the calendar clean; the
   /// dirty list covers the exceptional exits (reset, divergence throw).
+  /// Scrubbing recycles storage: a scrubbed bucket's vector, capacity
+  /// included, goes to a spare list, and a bucket's first push takes its
+  /// storage from there. So the calendar holds roughly the capacity of the
+  /// buckets live at one time, not every bucket's own peak (on RSM-ROM's
+  /// ~1200 buckets that was most of an instance's memory). Recycling moves
+  /// only empty vectors; it never touches queued events or their order.
   /// The bucket width and the pre-sized horizon
   /// are derived from the design's delay extrema and level count
   /// (CompiledDesign::minDelayPs / maxDelayPs / numLevels) instead of a
@@ -300,6 +307,8 @@ class BatchSim {
   void recordRun();
   void queuePush(double time, std::uint64_t key, std::uint64_t mask,
                  std::uint64_t value);
+  std::vector<QueueEvent>& pushBucket(std::size_t idx);
+  void recycleBucket(std::size_t idx);
   QueueEvent queuePop();
   void scrubQueue();
 
@@ -326,24 +335,29 @@ class BatchSim {
   std::vector<std::uint64_t> pendMask_;    ///< per net: lanes with a pending
   std::vector<std::uint64_t> pendValueW_;  ///< per net: pending lane values
   std::vector<std::uint64_t> pendPushId_;  ///< per (net, lane): pending id
-  /// Per-(net, lane) time of the net's previous commit in the current run,
-  /// valid only where `epoch` equals runEpoch_ — the epoch stamp makes
-  /// "no commit yet this run" a lazy default instead of an 8-byte-per-slot
-  /// fill of the whole array on every run (the array is numGates x 64 and
-  /// the hot loop touches only the committing slots). Time and stamp share
-  /// one 16-byte slot so a commit's validity check and gap read cost one
-  /// cache line touch, not two. A stale slot yields weight 1.0 — exactly
-  /// what the reference engine's -1e30 sentinel produces.
-  struct CommitStamp {
-    double ps;
-    std::uint64_t epoch;
+  /// Commit-time layout: the time of each (net, lane)'s previous commit in
+  /// the current run is an 8-byte slot of lastCommitPs_ (numGates x 64),
+  /// valid only for the lanes in its net's CommitLanes record, and only
+  /// while that record's epoch equals runEpoch_. The epoch makes "no commit
+  /// yet this run" a lazy default instead of a fill of the whole array on
+  /// every run (the hot loop touches only the committing slots), and one
+  /// 16-byte record per net instead of a stamp per slot halves the state.
+  /// A stale slot yields weight 1.0 — exactly what the reference engine's
+  /// -1e30 sentinel produces.
+  struct CommitLanes {
+    std::uint64_t epoch;  ///< run the lane set belongs to
+    std::uint64_t lanes;  ///< lanes that committed this net in that run
   };
-  std::vector<CommitStamp> lastCommit_;  ///< per (net, lane)
-  std::uint64_t runEpoch_ = 0;           ///< bumped at every runCore
+  std::vector<double> lastCommitPs_;       ///< per (net, lane)
+  std::vector<CommitLanes> commitLanes_;   ///< per net
+  std::uint64_t runEpoch_ = 0;             ///< bumped at every runCore
   std::vector<std::uint64_t> inputWords_;  ///< packed stimulus per input
   std::vector<std::uint32_t> changedNets_;
   std::vector<std::uint64_t> changedMasks_;
   std::vector<std::vector<QueueEvent>> buckets_;
+  /// Storage of exhausted buckets, handed to the next bucket that gets its
+  /// first push (see the calendar notes at kMaxBuckets).
+  std::vector<std::vector<QueueEvent>> spareBuckets_;
   std::vector<std::uint32_t> bucketHead_;
   std::vector<std::uint8_t> bucketSorted_;
   std::vector<std::uint32_t> dirtyBuckets_;

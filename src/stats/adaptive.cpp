@@ -7,7 +7,8 @@
 
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
-#include "trace/prng.h"
+#include "sim/batch_sim.h"
+#include "trace/sharded_pool.h"
 
 namespace lpa::stats {
 
@@ -44,32 +45,45 @@ AdaptiveResult adaptiveAcquire(const MaskedSbox& sbox, EventSim& sim,
                  std::to_string(maxTraces) + ")");
   auto& reg = obs::MetricsRegistry::global();
 
-  const std::uint64_t domainSeed =
-      deriveStreamSeed(cfg.seed, kAdaptiveBatchStream);
   const auto start = std::chrono::steady_clock::now();
+  // Window rule (see the header): at least two 64-lane groups per worker,
+  // and at least as many batches as are already kept, so the number of
+  // calls grows logarithmically with the batches a run keeps.
+  const std::uint64_t batchSize = cfg.batchSize;
+  const std::uint64_t totalBatches = (maxTraces + batchSize - 1) / batchSize;
+  const std::uint64_t threads =
+      resolveWorkerThreads(cfg.numThreads, ~std::size_t(0));
+  const std::uint64_t floorBatches =
+      (2 * threads * BatchSim::kLanes + batchSize - 1) / batchSize;
 
   AdaptiveResult res{TraceSet(power.options().numSamples)};
-  res.traces.reserve(maxTraces);
   StreamingLeakage stream(power.options().numSamples, statsOpt);
   ConvergenceMonitor monitor({cfg.targetCiRel, /*minTraces=*/0});
 
-  std::uint64_t acquired = 0;
-  while (acquired < maxTraces) {
-    const std::uint64_t thisBatch =
-        std::min<std::uint64_t>(cfg.batchSize, maxTraces - acquired);
+  std::uint64_t acquired = 0;     // traces of the kept batches
+  std::uint64_t reported = 0;     // progress high-water mark
+  std::uint64_t sequentialTo = 0;  // batches below this run one per call
+  bool stopped = false;
+  while (acquired < maxTraces && !stopped) {
+    const std::uint64_t window =
+        res.batches < sequentialTo
+            ? 1
+            : std::min(totalBatches - res.batches,
+                       std::max<std::uint64_t>(res.batches, floorBatches));
+    const std::uint64_t windowTraces =
+        std::min(window * batchSize, maxTraces - acquired);
 
-    AcquisitionConfig bcfg = cfg;
-    bcfg.adaptive = false;
-    bcfg.tracesPerClass = static_cast<std::uint32_t>(thisBatch / 16);
-    bcfg.seed = deriveStreamSeed(domainSeed, res.batches);
-    bcfg.progress = {};
+    AcquisitionConfig wcfg = cfg;
+    wcfg.progress = {};
     if (cfg.progress) {
-      // Re-report batch-relative progress against the overall budget. Pure
-      // rendering: the wrapped sink sees monotone (done, budget) updates.
-      bcfg.progress = [&, base = acquired](const obs::ProgressUpdate& u) {
+      // Re-report window-relative progress against the overall budget. Pure
+      // rendering; the high-water mark keeps it monotone across the
+      // one-batch redo of a failed window.
+      wcfg.progress = [&, base = acquired](const obs::ProgressUpdate& u) {
+        reported = std::max(reported, base + u.done);
         obs::ProgressUpdate o;
         o.label = "adaptive-acquire";
-        o.done = base + u.done;
+        o.done = reported;
         o.total = maxTraces;
         o.elapsedSec = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
@@ -84,29 +98,50 @@ AdaptiveResult adaptiveAcquire(const MaskedSbox& sbox, EventSim& sim,
       };
     }
 
-    TraceSet batch(power.options().numSamples);
+    res.traces.resize(acquired + windowTraces);
     try {
-      batch = acquire(sbox, sim, power, bcfg);
+      acquireAdaptiveWindow(sbox, sim, power, wcfg, res.batches,
+                            windowTraces, res.traces, acquired);
     } catch (const obs::ProgressAborted& e) {
       throw obs::ProgressAborted("adaptive-acquire", acquired + e.done(),
                                  maxTraces);
+    } catch (...) {
+      if (window == 1) throw;
+      // The failure may lie past the stop point, and its report must be
+      // the one-batch run's: redo this window one batch per call.
+      res.traces.resize(acquired);
+      sequentialTo = res.batches + window;
+      continue;
     }
-    res.traces.append(batch);
-    stream.addTraceSet(batch);
-    acquired += batch.size();
-    ++res.batches;
 
-    res.estimate = stream.estimate();
-    monitor.observe(res.estimate);
-    reg.counter("adaptive.batches").add(1);
-    reg.counter("adaptive.traces").add(batch.size());
+    // Fold the window batch by batch, applying the stop rule after each,
+    // exactly as one call per batch would.
+    const std::uint64_t windowEnd = acquired + windowTraces;
+    while (acquired < windowEnd) {
+      const std::uint64_t batchEnd =
+          std::min(acquired + batchSize, windowEnd);
+      for (std::uint64_t i = acquired; i < batchEnd; ++i) {
+        stream.addTrace(res.traces.label(i), res.traces.trace(i));
+      }
+      reg.counter("adaptive.traces").add(batchEnd - acquired);
+      acquired = batchEnd;
+      ++res.batches;
 
-    if (monitor.converged()) {
-      res.stop = AdaptiveStop::CiTarget;
-      break;
+      res.estimate = stream.estimate();
+      monitor.observe(res.estimate);
+      reg.counter("adaptive.batches").add(1);
+
+      if (monitor.converged()) {
+        stopped = true;
+        break;
+      }
     }
-    res.stop = AdaptiveStop::MaxTraces;
+    if (stopped) {
+      reg.counter("adaptive.traces_discarded").add(windowEnd - acquired);
+      res.traces.resize(acquired);
+    }
   }
+  res.stop = stopped ? AdaptiveStop::CiTarget : AdaptiveStop::MaxTraces;
 
   res.history = monitor.history();
   reg.counter(res.stop == AdaptiveStop::CiTarget

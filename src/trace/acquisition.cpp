@@ -169,12 +169,13 @@ int groupFailureLane(const BatchSim& sim) {
 }
 int groupFailureLane(const EventSim&) { return 0; }
 
-/// The one engine-dispatch body behind acquire(), acquireRange() and
-/// acquireKeyed(). The call's stimuli are drawn first and packed into work
-/// items (pack(): BatchSim lane groups, or single traces on the reference
-/// engine), workers claim items from the pool's cursor, and every lane's
-/// trace is written straight into its schedule slot of the result — so
-/// the TraceSet is thread-count invariant. Progress stays
+/// The one engine-dispatch body behind acquire(), acquireRange(),
+/// acquireKeyed() and the adaptive window. The call's stimuli are drawn
+/// first and packed into work items (pack(): BatchSim lane groups, or
+/// single traces on the reference engine), workers claim items from the
+/// pool's cursor, and trace i's samples are written straight into slot
+/// outBase + (i - plan.begin) of the pre-sized `out` — so the TraceSet is
+/// thread-count invariant. Progress stays
 /// trace-denominated. A failure is recorded, not thrown into the pool, and
 /// blamed on its trace: a group checks its lanes in trace order and blames
 /// the first that fails the decode check; a failure of the whole group
@@ -182,8 +183,8 @@ int groupFailureLane(const EventSim&) { return 0; }
 /// group that cannot hold a trace below the lowest failure recorded so
 /// far, and the call rethrows that failure — exactly the lowest failing
 /// trace, for any thread count.
-TraceSet run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
-             const Plan& plan) {
+void run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
+         const Plan& plan, TraceSet& out, std::size_t outBase) {
   const SimEngine engine = resolveEngine(plan.engine, sim, power);
   const TimeQuantization quantization =
       resolveQuantization(plan.engine, plan.quantization);
@@ -193,13 +194,14 @@ TraceSet run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
   const std::size_t numGroups = (n + width - 1) / width;
   const std::uint32_t threads =
       resolveWorkerThreads(plan.numThreads, numGroups);
-  const std::uint32_t numSamples = power.options().numSamples;
   const char* engineName = batch ? "batch" : "reference";
 
   obs::Span span(std::string(plan.spanLabel) + " (" + std::to_string(n) +
                  " traces, " + std::to_string(threads) + " threads, " +
                  engineName + " engine)");
   obs::ProgressMeter meter(plan.spanLabel, n, plan.progress);
+  // Every simulated trace, including an adaptive window's traces past its
+  // stop point (those are also counted in adaptive.traces_discarded).
   obs::MetricsRegistry::global().counter("acquire.traces_total").add(n);
   obs::EventJournal::global().info(
       "acquire-start", {{"label", plan.spanLabel},
@@ -216,7 +218,6 @@ TraceSet run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
   }
   const std::vector<Stimuli> groups = pack(all, width);
 
-  TraceSet traces(numSamples, 16, n);
   detail::LowestFailure failure;
   const auto describe = [&](std::size_t i) {
     return std::string(plan.spanLabel) + " trace " + std::to_string(i) +
@@ -240,8 +241,8 @@ TraceSet run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
               failedLane = static_cast<int>(l);
               throw std::logic_error("acquisition: decode mismatch");
             }
-            traces.set(group.traces[l] - plan.begin, group.labels[l],
-                       samples);
+            out.set(outBase + (group.traces[l] - plan.begin),
+                    group.labels[l], samples);
           };
           try {
             simulate(worker, group, store);
@@ -296,6 +297,13 @@ TraceSet run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
   }
   failure.rethrowIfAny(describe);
   meter.finish();
+}
+
+/// run() into a fresh TraceSet of the plan's traces.
+TraceSet run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
+             const Plan& plan) {
+  TraceSet traces(power.options().numSamples, 16, plan.end - plan.begin);
+  run(sbox, sim, power, plan, traces, 0);
   return traces;
 }
 
@@ -320,6 +328,21 @@ std::vector<std::uint8_t> balancedClassSchedule(std::uint32_t tracesPerClass,
 
 namespace {
 
+/// Appends trace `index` of the balanced protocol to `out`: class `cls`,
+/// everything else — masks, gadget bits, noise seed — from the trace's own
+/// stream Prng(deriveStreamSeed(seed, index)), so it depends only on
+/// (seed, index, cls).
+void drawClassTrace(const MaskedSbox& sbox, std::uint8_t initialValue,
+                    std::uint64_t seed, std::uint8_t cls, std::size_t index,
+                    Stimuli& out) {
+  Prng rng(deriveStreamSeed(seed, index));
+  out.labels.push_back(cls);
+  out.inits.push_back(sbox.encode(initialValue, rng));
+  out.fins.push_back(sbox.encode(cls, rng));
+  out.noiseSeeds.push_back(rng.next() | 1ULL);
+  out.expected.push_back(kPresentSbox[cls]);
+}
+
 /// Collects schedule slice [begin, end): the body of acquire() (the full
 /// range) and acquireRange() (a checkpoint group). Every per-trace stream
 /// is derived from the trace's *global* index, so slicing is invisible in
@@ -329,15 +352,7 @@ TraceSet acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                       const std::vector<std::uint8_t>& schedule,
                       std::size_t begin, std::size_t end) {
   const auto draw = [&](std::size_t i, Stimuli& out) {
-    // All randomness of trace i — masks, gadget bits, noise seed — comes
-    // from this stream and hence depends only on (cfg.seed, i).
-    Prng rng(deriveStreamSeed(cfg.seed, i));
-    const std::uint8_t cls = schedule[i];
-    out.labels.push_back(cls);
-    out.inits.push_back(sbox.encode(cfg.initialValue, rng));
-    out.fins.push_back(sbox.encode(cls, rng));
-    out.noiseSeeds.push_back(rng.next() | 1ULL);
-    out.expected.push_back(kPresentSbox[cls]);
+    drawClassTrace(sbox, cfg.initialValue, cfg.seed, schedule[i], i, out);
   };
   return run(sbox, sim, power,
              {"acquire", "class", begin, end, cfg.engine,
@@ -395,6 +410,42 @@ TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
   return run(sbox, sim, power,
              {"acquire-keyed", "plaintext", 0, numTraces, engine,
               quantization, numThreads, nullptr, obs::ProgressFn(), draw});
+}
+
+void acquireAdaptiveWindow(const MaskedSbox& sbox, EventSim& sim,
+                           const PowerModel& power,
+                           const AcquisitionConfig& cfg,
+                           std::uint64_t firstBatch, std::size_t numTraces,
+                           TraceSet& out, std::size_t outBase) {
+  const std::size_t batchSize = cfg.batchSize;
+  if (batchSize == 0 || batchSize % 16 != 0 || numTraces % 16 != 0 ||
+      outBase + numTraces > out.size()) {
+    throw std::invalid_argument(
+        "acquireAdaptiveWindow: batchSize and the window must be multiples "
+        "of 16, and the window must fit in the output set");
+  }
+  // Batch k of the window (run batch firstBatch + k) is full except a
+  // trailing partial batch at the end of the budget; each one keeps its own
+  // balanced schedule and derived seed, exactly as acquire() draws it.
+  std::vector<std::uint64_t> seeds;
+  std::vector<std::vector<std::uint8_t>> schedules;
+  for (std::size_t first = 0; first < numTraces; first += batchSize) {
+    const std::size_t size = std::min(batchSize, numTraces - first);
+    seeds.push_back(
+        stats::adaptiveBatchSeed(cfg.seed, firstBatch + seeds.size()));
+    schedules.push_back(balancedClassSchedule(
+        static_cast<std::uint32_t>(size / 16), seeds.back()));
+  }
+  const auto draw = [&](std::size_t i, Stimuli& stim) {
+    const std::size_t k = i / batchSize;
+    const std::size_t j = i % batchSize;
+    drawClassTrace(sbox, cfg.initialValue, seeds[k], schedules[k][j], j,
+                   stim);
+  };
+  run(sbox, sim, power,
+      {"acquire", "class", 0, numTraces, cfg.engine, cfg.timeQuantization,
+       cfg.numThreads, cfg.profiler, cfg.progress, draw},
+      out, outBase);
 }
 
 }  // namespace lpa

@@ -143,9 +143,11 @@ struct AcquisitionConfig {
   // substream deriveStreamSeed(deriveStreamSeed(seed, kAdaptiveBatchStream),
   // b), so batch contents depend only on (seed, b, batchSize) — and the run
   // stops as soon as the relative half-width of the streaming total-leakage
-  // CI reaches `targetCiRel`, or at `maxTraces`. The collected TraceSet is
-  // bit-reproducible given (seed, batchSize) and thread-count invariant,
-  // and a converged run's traces are a prefix of the maxTraces run's.
+  // CI reaches `targetCiRel`, or at `maxTraces`. Several batches are
+  // simulated per call (acquireAdaptiveWindow) and folded one at a time.
+  // The collected TraceSet is bit-reproducible given (seed, batchSize) and
+  // thread-count invariant, and a converged run's traces are a prefix of
+  // the maxTraces run's.
   // `tracesPerClass` only serves as the default for maxTraces.
   bool adaptive = false;
   /// Stop once halfWidth(total-leakage CI) / total <= this.
@@ -200,6 +202,30 @@ TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
 TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
                       const PowerModel& power, const AcquisitionConfig& cfg,
                       std::size_t begin, std::size_t end);
+
+/// One window of an adaptive run (stats/adaptive.h): the `numTraces`
+/// traces of run batches firstBatch, firstBatch + 1, ... drawn, packed and
+/// simulated in ONE call, written to slots [outBase, outBase + numTraces)
+/// of the pre-sized `out`. Window trace i belongs to batch b = firstBatch +
+/// i / batchSize at index j = i mod batchSize, and is drawn exactly as
+/// acquire() draws trace j of that batch: class from
+/// balancedClassSchedule(size_b / 16, batchSeed_b), everything else from
+/// Prng(deriveStreamSeed(batchSeed_b, j)), with batchSeed_b =
+/// stats::adaptiveBatchSeed(cfg.seed, b) and size_b = cfg.batchSize except
+/// for a trailing partial batch. Every lane is bit-identical to its own
+/// scalar run, so the window's slots equal the one-batch-per-call traces,
+/// however lane groups pack across batches. Failures follow the runner's
+/// semantics with window indices (WorkerError::index() = i, the message
+/// names "acquire trace i"); with a one-batch window, index and message are
+/// exactly acquire()'s for that batch. Progress is reported against
+/// numTraces through cfg.progress. Throws std::invalid_argument unless
+/// cfg.batchSize and numTraces are multiples of 16 and the window fits in
+/// `out`.
+void acquireAdaptiveWindow(const MaskedSbox& sbox, EventSim& sim,
+                           const PowerModel& power,
+                           const AcquisitionConfig& cfg,
+                           std::uint64_t firstBatch, std::size_t numTraces,
+                           TraceSet& out, std::size_t outBase);
 
 /// Variant for attack studies (CPA): the final value is `plain ^ key` with
 /// uniformly random `plain`; the trace label is the *plaintext* nibble.

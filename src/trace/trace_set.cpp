@@ -31,6 +31,11 @@ void TraceSet::reserve(std::size_t n) {
   samples_.reserve(n * numSamples_);
 }
 
+void TraceSet::resize(std::size_t n) {
+  labels_.resize(n);
+  samples_.resize(n * numSamples_);
+}
+
 void TraceSet::append(const TraceSet& other) {
   if (other.numSamples_ != numSamples_ || other.numClasses_ != numClasses_) {
     throw std::invalid_argument("trace set shape mismatch");

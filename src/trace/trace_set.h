@@ -34,6 +34,11 @@ class TraceSet {
   /// Pre-allocates storage for `n` traces (acquisition knows its size).
   void reserve(std::size_t n);
 
+  /// Truncates to the first `n` traces, or grows with all-zero class-0
+  /// traces to be filled with set() (the adaptive runner sizes its result
+  /// one acquisition window at a time).
+  void resize(std::size_t n);
+
   /// Concatenates `other`'s traces after this set's, preserving order.
   /// Shapes (numSamples, numClasses) must match. The adaptive and
   /// resilient runners grow their result this way, batch by batch.

@@ -59,7 +59,7 @@ PINNED_PARAMS = ("style", "traces_per_class")
 BOOL_PARAMS = ("obs_bit_identical", "engine_bit_identical",
                "quant_deterministic", "stress_bit_identical")
 RATIO_PARAMS = ("batch_speedup", "batch_quant_speedup", "stress_speedup",
-                "rsm_rom_batch_speedup")
+                "rsm_rom_batch_speedup", "adaptive_window_speedup")
 RATIO_FLOOR_FRACTION = 0.75  # floor recorded by --update: 75% of measured
 THROUGHPUT_PREFIX = "traces_per_sec"
 

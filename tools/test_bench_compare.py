@@ -41,6 +41,7 @@ FULL_PARAMS = {
     "batch_quant_speedup": 4.0,
     "stress_speedup": 3.2,
     "rsm_rom_batch_speedup": 2.0,
+    "adaptive_window_speedup": 1.6,
     "traces_per_sec_reference": 15000.0,
     "traces_per_sec_batch": 150000.0,
     "traces_per_sec_batch_quant": 600000.0,
@@ -73,6 +74,7 @@ class RatioFloors(unittest.TestCase):
         self.assertEqual(floors["batch_quant_speedup"], 3.0)  # 0.75 * 4.0
         self.assertEqual(floors["stress_speedup"], 2.4)  # 0.75 * 3.2
         self.assertEqual(floors["rsm_rom_batch_speedup"], 1.5)  # 0.75 * 2.0
+        self.assertEqual(floors["adaptive_window_speedup"], 1.2)  # 0.75*1.6
 
     def test_stress_ratio_below_floor_fails(self):
         # Stress profiling slipping back toward the reference chain's cost
