@@ -8,13 +8,11 @@
 // re-checks bit-identity across the two modes (the zero-perturbation
 // contract of obs/metrics.h).
 //
-// An engine A/B/C section cross-times the reference, exact batch, and
-// quantized-grid batch engines at one thread: the first two must stay
-// bit-identical; the quantized side (DESIGN.md §14) is checked for
-// repeat-run determinism and reported as batch_quant_speedup, the ratio
-// the CI perf gate pins. A second, bit-identical reference-vs-Auto A/B on
-// RSM-ROM at 1024 traces (rsm_rom_batch_speedup, also gated) covers the
-// style whose lane groups depend most on stimulus packing.
+// An engine A/B section cross-times the reference and batch engines at
+// one thread; the two must stay bit-identical, and batch_speedup is the
+// ratio the CI perf gate pins. A second, bit-identical reference-vs-Auto
+// A/B on RSM-ROM at 1024 traces (rsm_rom_batch_speedup, also gated)
+// covers the style whose lane groups depend most on stimulus packing.
 //
 // An adaptive-window A/B times a fixed-budget adaptive run on RSM-ROM
 // acquired one batch per call against adaptiveAcquire's multi-batch
@@ -30,8 +28,7 @@
 // Under --profile the run additionally attaches the cost-attribution
 // profiler (obs/profiler.h): the report's "profile" block then carries the
 // per-net top-K, the batch engine's lane-occupancy histograms (mean popped/
-// committed lanes per wave — the machine-readable form of the PR 6 lane-
-// utilization analysis) and per-phase hardware counters, and the bench
+// committed lanes per wave) and per-phase hardware counters, and the bench
 // runs a profiler-on/off A/B that pins the attachment overhead (<= 5%) and
 // bit-identity (profile_overhead_pct / profile_bit_identical params).
 //
@@ -42,7 +39,7 @@
 // *under* concurrent scraping), and a scrape-on/off A/B with the scraper
 // paced at a realistic 10ms cadence pins the overhead
 // (telemetry_overhead_pct <= 5%) and bit-identity
-// (telemetry_bit_identical) — the CI telemetry-smoke job gates both.
+// (telemetry_bit_identical) — the CI smoke job gates both.
 //
 // Usage: bench_acquire_scaling [tracesPerClass] [--json p] [--trace p]
 //        [--progress] [--profile] [--heartbeat p] [--listen[=port]]
@@ -239,7 +236,7 @@ int main(int argc, char** argv) {
   // scraper polls /metrics vs while it is parked. The server handlers
   // only read relaxed-atomic snapshots, so the digests must match
   // bit-for-bit and the scraped side must stay within a few percent
-  // (the CI telemetry-smoke job gates <= 5%). The scraper is paced at a
+  // (the CI smoke job gates <= 5%). The scraper is paced at a
   // realistic 10ms cadence here (100 scrapes/sec — still ~100x faster
   // than a real Prometheus interval): the overhead budget is about what
   // a monitoring client costs the pipeline, not about an unthrottled
@@ -418,69 +415,6 @@ int main(int argc, char** argv) {
               windowIdentical ? "yes" : "NO");
   report.setParam("adaptive_window_speedup", windowSpeedup);
 
-  // Engine C: the quantized-grid batch mode (DESIGN.md §14) vs the exact
-  // batch engine, one thread, opt-in SampleGrid quantization. Quantized
-  // traces are leakage-equivalent, not bit-identical, so the on-the-fly
-  // check is repeat-run determinism (the same digest every repetition) —
-  // the exact engines' digest above is untouched by construction. Both
-  // sides are re-measured interleaved so frequency drift cannot bias the
-  // ratio; batch_quant_speedup is the machine-independent ratio the CI
-  // perf gate pins.
-  std::printf("\nengine C (quantized-grid batch vs exact batch, 1 thread):\n");
-  auto makeQuant = [&] {
-    ExperimentConfig qcfg;
-    qcfg.acquisition.tracesPerClass = tracesPerClass;
-    qcfg.acquisition.numThreads = 1;
-    qcfg.acquisition.engine = SimEngine::Batch;
-    qcfg.acquisition.timeQuantization = TimeQuantization::SampleGrid;
-    return SboxExperiment(SboxStyle::Glut, qcfg);
-  };
-  SboxExperiment engQnt = makeQuant();
-  double secsBatAb = 1e300, secsQnt = 1e300;
-  double digQnt = 0.0;
-  bool quantDeterministic = true;
-  {
-    obs::PhaseTimer phase(report, "ab.quantized");
-    for (int rep = 0; rep < 5; ++rep) {
-      TraceSet ts(1);
-      secsBatAb = std::min(secsBatAb,
-                           bench::bestOf(1, [&] { ts = engBat.acquireAt(0.0); }));
-      secsQnt = std::min(secsQnt,
-                         bench::bestOf(1, [&] { ts = engQnt.acquireAt(0.0); }));
-      const double d = digest(ts);
-      if (rep == 0) digQnt = d;
-      quantDeterministic = quantDeterministic && d == digQnt;
-    }
-  }
-  allIdentical = allIdentical && quantDeterministic;
-  const double quantSpeedup = secsBatAb / secsQnt;
-  std::printf(
-      "  exact batch %.4fs (%.0f traces/sec), quantized %.4fs (%.0f "
-      "traces/sec, %.2fx over exact batch, %.2fx over reference),\n"
-      "  repeat-deterministic %s\n",
-      secsBatAb, n / secsBatAb, secsQnt, n / secsQnt, quantSpeedup,
-      secsRef / secsQnt, quantDeterministic ? "yes" : "NO");
-  report.setParam("traces_per_sec_batch_quant", n / secsQnt);
-  report.setParam("batch_quant_speedup", quantSpeedup);
-  report.setParam("quant_deterministic", obs::Json(quantDeterministic));
-  if (scope.profiler() != nullptr) {
-    // Quantized lane-occupancy census next to the exact one below, on a
-    // throwaway profiler so the scope's profile block keeps describing
-    // the main (exact) run.
-    obs::Profiler qp;
-    SboxExperiment qprof = makeQuant();
-    qprof.attachProfiler(&qp);
-    qprof.acquireAt(0.0);
-    std::printf(
-        "  quantized lane occupancy: %.2f popped, %.2f committed of 64 "
-        "lanes/wave (%llu waves)\n",
-        qp.meanPoppedLanes(), qp.meanCommittedLanes(),
-        static_cast<unsigned long long>(qp.waves()));
-    report.setParam("batch_quant_mean_popped_lanes", qp.meanPoppedLanes());
-    report.setParam("batch_quant_mean_committed_lanes",
-                    qp.meanCommittedLanes());
-  }
-
   // Stress A/B: the reference EventSim chain vs stressProfile() on the
   // batch engine, both single-threaded so the ratio is pure engine cost.
   // stressProfile() caches, so every repetition profiles a fresh
@@ -522,7 +456,7 @@ int main(int argc, char** argv) {
   // Profiler A/B (only under --profile): same batch acquisition with the
   // cost-attribution profiler attached vs detached. Pure-sink contract:
   // digests must match bit-for-bit and the attached run stays within a few
-  // percent (the CI profiling-smoke job gates <= 5%). Runs on a throwaway
+  // percent (the CI smoke job gates <= 5%). Runs on a throwaway
   // Profiler so the scope's profile block keeps describing the main run.
   if (scope.profiler() != nullptr) {
     std::printf("\nprofiler overhead (attached vs detached, batch engine):\n");

@@ -41,9 +41,7 @@ const StressProfile& SboxExperiment::stressProfile() {
       x = sbox_->encode(rng.nibble(), rng);
     }
     const CompiledDesign design(sbox_->netlist(), delays_, power_);
-    SimOptions opts = cfg_.sim;
-    opts.timeQuantization = TimeQuantization::Exact;
-    BatchSim proto(design, opts);
+    BatchSim proto(design, cfg_.sim);
     if (cfg_.observe) proto.attachMetrics(&obs::MetricsRegistry::global());
     const std::size_t numGroups =
         (cycles + BatchSim::kLanes - 1) / BatchSim::kLanes;

@@ -99,13 +99,6 @@ std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
   fnvU64(h, cfg.seed);
   fnvU64(h, cfg.tracesPerClass);
   fnvU64(h, cfg.initialValue);
-  // Quantized-grid traces are not bit-compatible with exact-mode traces, so
-  // their checkpoints must not cross-adopt. Exact folds nothing, keeping
-  // every pre-existing exact checkpoint's fingerprint unchanged.
-  if (cfg.timeQuantization != TimeQuantization::Exact) {
-    fnvU64(h, 0x71756E7467726964ULL);  // "quntgrid"
-    fnvU64(h, static_cast<std::uint64_t>(cfg.timeQuantization));
-  }
   fnvU64(h, cfg.adaptive ? 1 : 0);
   if (cfg.adaptive) {
     fnvU64(h, cfg.batchSize);
@@ -252,15 +245,6 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
   std::atomic<bool> deadlineTripped{false};
 
   SimEngine engine = cfg.engine;
-  // Quantized-grid runs (DESIGN.md §14) have no exact-engine oracle: their
-  // traces legitimately differ from what Reference would collect, so both
-  // quarantine demotion and the Reference spot-check would corrupt the run
-  // (mixed-mode bits / guaranteed false mismatch). Divergences escalate
-  // through the retry/trap budget instead, and spot-checks become
-  // same-engine self-consistency re-runs (a mismatch there is real
-  // nondeterminism and aborts the run — there is no safe engine to fall
-  // back to).
-  const bool quantized = cfg.timeQuantization != TimeQuantization::Exact;
   std::uint32_t divergences = 0;
   const std::uint32_t spotEvery = job.spotCheckEveryGroups;
   const std::uint64_t spotOffset =
@@ -269,7 +253,7 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
           : 0;
 
   const auto quarantine = [&](std::uint64_t g, const char* reason) {
-    if (quantized || engine == SimEngine::Reference) return;
+    if (engine == SimEngine::Reference) return;
     engine = SimEngine::Reference;
     info.quarantined = true;
     info.events.push_back({g, reason});
@@ -446,28 +430,13 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
         g % spotEvery == spotOffset) {
       ++info.spotChecks;
       reg.counter("jobs.spot_checks").add(1);
-      if (quantized) {
-        TraceSet again = runGroup(g, ranWith);
-        if (digestOfTraceSet(again) != digestOfTraceSet(group)) {
-          obs::EventJournal::global().error(
-              "spot-check", {{"group", std::to_string(g)},
-                             {"result", "self-consistency-mismatch"}});
-          throw std::runtime_error(
-              "resilientAcquire: quantized-grid spot-check mismatch on group " +
-              std::to_string(g) + " (style " + std::string(sbox.name()) +
-              "): the batch engine is nondeterministic; aborting (quantized "
-              "runs have no exact-engine fallback)");
-        }
+      TraceSet ref = runGroup(g, SimEngine::Reference);
+      if (digestOfTraceSet(ref) != digestOfTraceSet(group)) {
+        quarantine(g, "spot-check-mismatch");
+        group = std::move(ref);
       } else {
-        TraceSet ref = runGroup(g, SimEngine::Reference);
-        if (digestOfTraceSet(ref) != digestOfTraceSet(group)) {
-          quarantine(g, "spot-check-mismatch");
-          group = std::move(ref);
-        } else {
-          obs::EventJournal::global().info(
-              "spot-check",
-              {{"group", std::to_string(g)}, {"result", "ok"}});
-        }
+        obs::EventJournal::global().info(
+            "spot-check", {{"group", std::to_string(g)}, {"result", "ok"}});
       }
     }
 

@@ -10,8 +10,8 @@
 // document over HTTP from memory. An empty path selects memory-only mode:
 // no file IO at all, beats only feed the sink.
 //
-// Schema "lpa-heartbeat/2" (validated by the CI profiling-smoke and
-// telemetry-smoke jobs; tools accept /1 and /2):
+// Schema "lpa-heartbeat/2" (validated by the CI smoke job; tools accept
+// /1 and /2):
 //
 //   {
 //     "schema": "lpa-heartbeat/2",

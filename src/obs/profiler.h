@@ -1,17 +1,16 @@
 #pragma once
 // Opt-in cost-attribution profiler for the simulation engines (DESIGN.md
 // §13). Answers "which nets, gates, and sim-time windows dominate event
-// traffic?" — the data the quantized-grid and JIT roadmap items need, and
-// the machine-readable form of PR 6's hand-collected lane-occupancy
-// analysis (exact census: 6.51/64 lanes popped, 0.68/64 committed per
-// wave on the GLUT workload, zero-commit waves included).
+// traffic?" — the data engine-performance work needs, including the
+// batch engine's lane-occupancy census (popped and committed lanes per
+// wave, zero-commit waves included).
 //
 // Contract: zero perturbation. A Profiler is a pure sink — it never feeds
 // a value back into simulation, never touches a PRNG stream, and all
 // trace/leakage digests are bit-identical with the profiler attached or
-// detached (enforced by tests/test_profiler.cpp across all three engines).
+// detached (enforced by tests/test_profiler.cpp on both engines).
 //
-// Overhead discipline (the CI profiling-smoke job gates attachment at
+// Overhead discipline (the CI smoke job gates attachment at
 // ≤5%): engines never touch the shared atomics from their hot loops.
 // Each engine keeps per-run *local* plain tallies and flushes once per
 // run from recordRun(). The reference engine tallies every event exactly.

@@ -7,7 +7,7 @@
 // (relaxed atomics), the in-memory status document, the event-journal
 // tail — and no simulation code path ever observes the server, so the
 // determinism digests are bit-identical with the server on or off while
-// scrapers hammer it (tests/test_telemetry.cpp, CI telemetry-smoke).
+// scrapers hammer it (tests/test_telemetry.cpp, CI smoke job).
 //
 // ## Endpoints
 //

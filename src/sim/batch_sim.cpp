@@ -90,35 +90,8 @@ BatchSim::BatchSim(const CompiledDesign& design, const SimOptions& options)
           : 0.5;
   invBucketWidth_ = 1.0 / w;
   const double horizonPs = design.maxDelayPs * design.numLevels;
-  std::size_t horizonBuckets = std::min(
+  const std::size_t horizonBuckets = std::min(
       static_cast<std::size_t>(horizonPs * invBucketWidth_) + 2, kMaxBuckets);
-
-  quantized_ = options.timeQuantization == TimeQuantization::SampleGrid;
-  if (quantized_) {
-    // Quantized-grid eligibility (DESIGN.md §14). The bucket index IS the
-    // grid step, so the calendar must hold the worst-case step horizon:
-    // every gate hop advances at most floor(maxDelayPs / dt) + 1 steps
-    // (ceil-exclusive rounding) and any path crosses at most numLevels
-    // hops from the step-0 input commits. The bound also keeps step below
-    // 2^20 and level below 2^20, the packed key's field widths.
-    if (design.samplePeriodPs <= 0.0) {
-      throw std::invalid_argument(
-          "BatchSim: sample-grid quantization requires a configured power "
-          "sample grid (samplePeriodPs > 0)");
-    }
-    quantPs_ = design.samplePeriodPs;
-    invQuantPs_ = 1.0 / quantPs_;
-    const std::size_t stepsPerLevel =
-        static_cast<std::size_t>(design.maxDelayPs * invQuantPs_) + 1;
-    const std::size_t horizonSteps =
-        std::size_t(design.numLevels) * stepsPerLevel + 2;
-    if (horizonSteps >= kMaxBuckets) {
-      throw std::invalid_argument(
-          "BatchSim: combinational depth exceeds the quantized-grid step "
-          "horizon; use the exact engines for this design");
-    }
-    horizonBuckets = horizonSteps;
-  }
   buckets_.resize(horizonBuckets);
   bucketHead_.assign(horizonBuckets, 0);
   bucketSorted_.assign(horizonBuckets, 0);
@@ -131,13 +104,6 @@ BatchSim::BatchSim(const CompiledDesign& design, const SimOptions& options)
   lastCommitPs_.assign(n * kLanes, 0.0);
   commitLanes_.assign(n, CommitLanes{0, 0});
   inputWords_.assign(design.inputNets.size(), 0);
-  if (quantized_) {
-    // Open-wave table: tag 0 never matches a live run (runEpoch_ starts
-    // its first run at 1), so no per-run clearing is needed.
-    openTag_.assign(n, 0);
-    openBucket_.assign(n, 0);
-    openIdx_.assign(n, 0);
-  }
 }
 
 BatchSim BatchSim::clone() const {
@@ -279,9 +245,6 @@ std::uint64_t BatchSim::arenaBytes() const {
            sizeof(std::uint64_t);
   bytes += lastCommitPs_.capacity() * sizeof(double);
   bytes += commitLanes_.capacity() * sizeof(CommitLanes);
-  bytes += openTag_.capacity() * sizeof(std::uint64_t);
-  bytes += (openBucket_.capacity() + openIdx_.capacity()) *
-           sizeof(std::uint32_t);
   bytes += changedNets_.capacity() * sizeof(std::uint32_t);
   bytes += changedMasks_.capacity() * sizeof(std::uint64_t);
   bytes += (grid_.capacity() + laneTraces_.capacity()) * sizeof(double);
@@ -405,27 +368,6 @@ std::vector<std::uint8_t> BatchSim::outputValues(std::uint32_t lane) const {
   return out;
 }
 
-/// Bucket `idx` ready for a push: the calendar grows to cover it, and a
-/// bucket getting its first push joins the dirty list and takes recycled
-/// storage from the spare list when it has none of its own.
-std::vector<BatchSim::QueueEvent>& BatchSim::pushBucket(std::size_t idx) {
-  if (idx >= buckets_.size()) {
-    const std::size_t grow = std::max(idx + 1, buckets_.size() * 2);
-    buckets_.resize(std::min(grow, kMaxBuckets));
-    bucketHead_.resize(buckets_.size(), 0);
-    bucketSorted_.resize(buckets_.size(), 0);
-  }
-  std::vector<QueueEvent>& b = buckets_[idx];
-  if (b.empty()) {
-    dirtyBuckets_.push_back(static_cast<std::uint32_t>(idx));
-    if (b.capacity() == 0 && !spareBuckets_.empty()) {
-      b.swap(spareBuckets_.back());
-      spareBuckets_.pop_back();
-    }
-  }
-  return b;
-}
-
 /// Empties bucket `idx` and moves its storage to the spare list.
 void BatchSim::recycleBucket(std::size_t idx) {
   std::vector<QueueEvent>& b = buckets_[idx];
@@ -439,7 +381,22 @@ void BatchSim::queuePush(double time, std::uint64_t key, std::uint64_t mask,
                          std::uint64_t value) {
   std::size_t idx = static_cast<std::size_t>(time * invBucketWidth_);
   if (idx >= kMaxBuckets) idx = kMaxBuckets - 1;  // open-ended last bucket
-  std::vector<QueueEvent>& b = pushBucket(idx);
+  if (idx >= buckets_.size()) {
+    const std::size_t grow = std::max(idx + 1, buckets_.size() * 2);
+    buckets_.resize(std::min(grow, kMaxBuckets));
+    bucketHead_.resize(buckets_.size(), 0);
+    bucketSorted_.resize(buckets_.size(), 0);
+  }
+  std::vector<QueueEvent>& b = buckets_[idx];
+  if (b.empty()) {
+    // First push: the bucket joins the dirty list and takes recycled
+    // storage from the spare list when it has none of its own.
+    dirtyBuckets_.push_back(static_cast<std::uint32_t>(idx));
+    if (b.capacity() == 0 && !spareBuckets_.empty()) {
+      b.swap(spareBuckets_.back());
+      spareBuckets_.pop_back();
+    }
+  }
   const QueueEvent e{key, timeToBits(time), mask, value};
   b.push_back(e);
   if (bucketSorted_[idx]) {
@@ -553,11 +510,9 @@ void BatchSim::runCore(
   const std::uint32_t* foOff = d.fanoutOffsets.data();
   const std::uint32_t* foEdge = d.fanoutEdges.data();
   const double* delayArr = d.delayPs.data();
-  const std::uint32_t* levelArr = d.level.data();
   std::uint64_t* stateW = stateW_.data();
   double* lastCommitPs = lastCommitPs_.data();
   CommitLanes* commitLanes = commitLanes_.data();
-  const bool quant = quantized_;  // loop-invariant mode select
 
   // Depth bookkeeping for one pushed wave. Fast path: the peak sample
   // moves here (push side) — a drained queue reaches the same maximum at
@@ -577,26 +532,13 @@ void BatchSim::runCore(
   // over all lanes at once, then splits the triggering lane set `trig`
   // into the reference algorithm's branch sets with word ops. At most one
   // wave is pushed per call, covering every lane that scalar semantics
-  // would have pushed for. `nowStep` is the trigger's grid step, consumed
-  // only by the quantized push stage (0 for the step-0 input commits).
+  // would have pushed for.
   const auto scheduleGate = [&](std::uint32_t gateId, double now,
-                                std::size_t nowStep, std::uint64_t trig) {
+                                std::uint64_t trig) {
     if (isSourceGate(static_cast<GateType>(typeArr[gateId]))) return;
     const std::uint64_t nvW = evalTable64(
         faninArr + std::size_t(gateId) * kMaxFanin, ttArr[gateId], stateW);
     const double eta = now + delayArr[gateId];
-    // Quantized target: ceil-exclusive to the NEXT grid boundary,
-    // step(eta) = floor(eta / dt) + 1 — strictly advancing, so chains of
-    // sub-period delays still move time forward and a commit can never
-    // trigger arrivals into its own (draining) step. The clamp is pure FP
-    // defense: eta > nowStep * dt numerically guarantees floor >= nowStep
-    // for physical delays, but a rounding surprise must not move time
-    // backwards.
-    std::size_t step = 0;
-    if (quant) {
-      step = static_cast<std::size_t>(eta * invQuantPs_) + 1;
-      if (step <= nowStep) step = nowStep + 1;
-    }
 
     std::uint64_t pushM;
     std::uint64_t pushV;
@@ -638,64 +580,16 @@ void BatchSim::runCore(
           static_cast<std::uint32_t>(popcount64(pushM));
     }
 
-    if (!quant) {
-      const std::uint64_t id = ++pushCounter_;
-      if (opts_.kind == DelayKind::Inertial) {
-        std::uint64_t* pendId =
-            pendPushId_.data() + std::size_t(gateId) * kLanes;
-        for (std::uint64_t m = pushM; m != 0; m &= m - 1) {
-          pendId[ctz64(m)] = id;
-        }
-      }
-      pushDepth(pushM);
-      queuePush(eta, (id << 25) | (std::uint64_t(gateId) << 1), pushM, pushV);
-      return;
-    }
-
-    // Quantized push: one wave per (net, step). The pending-wave identity
-    // IS the step (the merge rule makes (net, step) unique), so the
-    // inertial liveness check at pop compares the pending slot against the
-    // popped wave's step instead of a push id.
+    const std::uint64_t id = ++pushCounter_;
     if (opts_.kind == DelayKind::Inertial) {
       std::uint64_t* pendId =
           pendPushId_.data() + std::size_t(gateId) * kLanes;
       for (std::uint64_t m = pushM; m != 0; m &= m - 1) {
-        pendId[ctz64(m)] = static_cast<std::uint64_t>(step);
+        pendId[ctz64(m)] = id;
       }
     }
-    const std::uint64_t tag =
-        (runEpoch_ << 20) | static_cast<std::uint64_t>(step);
-    if (openTag_[gateId] == tag) {
-      // Merge: OR the new lanes in, last evaluation wins on the values
-      // (the sample period's settled value — sub-period glitches collapse
-      // by design). Only genuinely new memberships count toward depth.
-      // The wave's bucket is strictly future (step > nowStep), so the
-      // stored index can't have been drained or shifted.
-      QueueEvent& wv = buckets_[openBucket_[gateId]][openIdx_[gateId]];
-      pushDepth(pushM & ~wv.mask);
-      wv.mask |= pushM;
-      wv.value = (wv.value & ~pushM) | pushV;
-      return;
-    }
-    if (step >= kMaxBuckets) {
-      // Unreachable by the ctor horizon check; a breach would corrupt the
-      // step<->bucket identity, so fail loudly instead of folding into an
-      // open-ended last bucket the way the exact calendar does.
-      scrubQueue();
-      throw std::logic_error(
-          "BatchSim: quantized step beyond the calendar capacity");
-    }
-    std::vector<QueueEvent>& b = pushBucket(step);
-    b.push_back(QueueEvent{(std::uint64_t(levelArr[gateId]) << 44) |
-                               (std::uint64_t(gateId) << 20) |
-                               static_cast<std::uint64_t>(step),
-                           timeToBits(static_cast<double>(step) * quantPs_),
-                           pushM, pushV});
-    openTag_[gateId] = tag;
-    openBucket_[gateId] = static_cast<std::uint32_t>(step);
-    openIdx_[gateId] = static_cast<std::uint32_t>(b.size() - 1);
-    ++eventsInQueue_;
     pushDepth(pushM);
+    queuePush(eta, (id << 25) | (std::uint64_t(gateId) << 1), pushM, pushV);
   };
 
   // Diverging exit: one lane's watchdog fired while processing wave lanes
@@ -750,23 +644,17 @@ void BatchSim::runCore(
     const std::uint32_t net = changedNets_[c];
     const std::uint64_t cm = changedMasks_[c];
     for (std::uint32_t e = foOff[net]; e < foOff[net + 1]; ++e) {
-      scheduleGate(foEdge[e], 0.0, 0, cm);
+      scheduleGate(foEdge[e], 0.0, cm);
     }
   }
 
   while (eventsInQueue_ != 0) {
     const QueueEvent e = queuePop();
     const double eTime = bitsToTime(e.timeBits);
-    // Exact keys pack (pushId << 25) | (net << 1); quantized keys pack
-    // (level << 44) | (net << 20) | step, where the step doubles as the
-    // inertial pending-wave identity (see scheduleGate).
+    // Keys pack (pushId << 25) | (net << 1).
     const std::uint32_t eNet =
-        quant ? static_cast<std::uint32_t>((e.key >> 20) & 0xFFFFFFu)
-              : static_cast<std::uint32_t>(e.key >> 1) & 0xFFFFFFu;
-    const std::size_t eStep =
-        quant ? static_cast<std::size_t>(e.key & 0xFFFFFu) : 0;
-    const std::uint64_t ePushId =
-        quant ? static_cast<std::uint64_t>(eStep) : (e.key >> 25);
+        static_cast<std::uint32_t>(e.key >> 1) & 0xFFFFFFu;
+    const std::uint64_t ePushId = e.key >> 25;
 
     if (prof) {
       ++profWaves_;
@@ -890,7 +778,7 @@ void BatchSim::runCore(
           static_cast<std::uint32_t>(popcount64(commitM));
     }
     for (std::uint32_t idx = foOff[eNet]; idx < foOff[eNet + 1]; ++idx) {
-      scheduleGate(foEdge[idx], eTime, eStep, commitM);
+      scheduleGate(foEdge[idx], eTime, commitM);
     }
   }
   if (bucketCursor_ < buckets_.size() && bucketHead_[bucketCursor_] != 0) {

@@ -15,44 +15,17 @@
 //
 // ## Lane-masked event waves
 //
-// In the default Exact mode event times stay continuous: a literal grid
-// quantization would break the engines' bit-identity contract (arrival
-// times are jittered per-gate delays, and both the partial-swing weight
-// and the pulse-deposition arithmetic consume exact times), so the grid
+// Event times stay continuous: a literal grid quantization would break
+// the engines' bit-identity contract (arrival times are jittered per-gate
+// delays, and both the partial-swing weight and the pulse-deposition
+// arithmetic consume exact times), and it would collapse the arrival-time
+// races inside one evaluation that carry the glitch leakage. So the grid
 // idea is used only where it is harmless — the calendar queue's bucket
 // index orders events without ever rounding their committed times, and
 // the CompiledDesign levelization (numLevels, min/maxDelayPs) sizes the
 // calendar's bucket width and horizon. Glitch semantics are untouched:
 // arrival-time races reproduce lane-by-lane exactly as in the scalar
 // engines.
-//
-// ## Quantized-grid mode (SimOptions::timeQuantization == SampleGrid)
-//
-// The opt-in throughput mode (DESIGN.md §14) trades exact continuous-time
-// ordering for occupancy: every arrival time rounds UP to the next sample-
-// grid boundary, step(eta) = floor(eta / samplePeriodPs) + 1, and all
-// events landing on one (net, step) merge into a single wave (masks OR,
-// last evaluation wins on the values — the settled value of that sample
-// period; sub-sample glitches collapse, which the paper's 50 GS/s
-// instrument could never see anyway). Waves inside one step pop in
-// (level, net) order — a levelized sweep; the calendar bucket index IS the
-// step, and commit times are exact multiples of samplePeriodPs.
-//
-// Why this is sound without any same-step fixpoint iteration: rounding is
-// strictly advancing (every gate hop moves time forward by at least one
-// full step), so a commit at step s can only trigger arrivals at steps
-// > s — there are no same-step cascades, and a wave is never merged into
-// after its bucket starts draining. Crucially, a lane's own committed
-// steps and values never depend on which other lanes share its waves, so
-// per-lane independence — and with it thread-count invariance, slice
-// concatenation (checkpoint/resume), and seed determinism — survives
-// quantization structurally. What does NOT survive is bit-identity with
-// the exact engines: quantized traces are leakage-equivalent (same Fig. 7
-// magnitudes and class ordering, gated against LEAKAGE_golden.json), not
-// bit-equal. The four-way differential fuzzer (tests/engine_fuzz.h)
-// qualifies the mode: settled states bit-equal the exact engines, commit
-// times are grid-aligned and strictly advancing per (net, lane), and the
-// transport-mode total deposited energy never exceeds the exact run's.
 //
 // Each queue entry is one "wave": a (time, net, lane-mask, lane-values)
 // tuple covering every lane for which one scheduleGate call produced an
@@ -82,7 +55,7 @@
 // (and hence the FP accumulation order into every sample bin) identically
 // to the reference engine.
 //
-// ## Bit-identity contract (Exact mode)
+// ## Bit-identity contract
 //
 // For every lane l < activeLanes(), BatchSim is bit-identical to an
 // EventSim fed lane l's stimuli on the same design:
@@ -102,12 +75,8 @@
 // < 2^24 gates (CompiledDesign and the constructor enforce these;
 // acquisition's resolveEngine falls back to the reference engine first);
 // any active lane count 1..64 is supported, so partial trailing groups of
-// a trace budget need no special casing. Quantized mode additionally
-// requires a configured sample grid (samplePeriodPs > 0) and a step
-// horizon numLevels x (floor(maxDelayPs / samplePeriodPs) + 1) + 2 inside
-// the calendar capacity; the constructor throws std::invalid_argument
-// otherwise. Instrumentation lands in "sim.batch.*" (and the shared
-// "power.*") instruments in both modes.
+// a trace budget need no special casing. Instrumentation lands in
+// "sim.batch.*" (and the shared "power.*") instruments.
 
 #include <array>
 #include <cstdint>
@@ -128,9 +97,7 @@ class BatchSim {
   /// running (it is read-only during simulation, so concurrent clones are
   /// safe — the EventSim sharing contract). Throws
   /// std::invalid_argument for designs beyond the packed-event net
-  /// capacity (2^24 gates), and — under SampleGrid quantization — for
-  /// designs without a configured sample grid or whose combinational step
-  /// horizon exceeds the calendar capacity (see "Eligibility").
+  /// capacity (2^24 gates; see "Eligibility").
   BatchSim(const CompiledDesign& design, const SimOptions& options);
 
   /// Cheap copy for worker pools: shares the design tables and the metrics
@@ -220,12 +187,6 @@ class BatchSim {
   /// (see "Ordering" above). `mask` is the covered-lane set; `value` holds
   /// the scheduled lane values on the mask bits.
   ///
-  /// Quantized mode repacks `key` as (level << 44) | (net << 20) | step:
-  /// (net, step) is unique per wave (the merge rule), so sorts are tie-free
-  /// and the in-step pop order is the deterministic levelized (level, net)
-  /// sweep. `timeBits` holds step * samplePeriodPs, keeping the same
-  /// 128-bit pop comparison valid across both modes.
-  ///
   /// Field order is load-bearing for the queue: `key` in the low quadword
   /// and `timeBits` in the high quadword make the first 16 bytes, read as
   /// one little-endian unsigned 128-bit integer, equal to
@@ -307,7 +268,6 @@ class BatchSim {
   void recordRun();
   void queuePush(double time, std::uint64_t key, std::uint64_t mask,
                  std::uint64_t value);
-  std::vector<QueueEvent>& pushBucket(std::size_t idx);
   void recycleBucket(std::size_t idx);
   QueueEvent queuePop();
   void scrubQueue();
@@ -315,19 +275,6 @@ class BatchSim {
   const CompiledDesign* design_;
   SimOptions opts_;
   double invBucketWidth_ = 2.0;
-  // Quantized-grid mode (timeQuantization == SampleGrid; see the header
-  // doc). The open-wave table maps each net to its mergeable wave:
-  // openTag_[net] = (runEpoch_ << 20) | step is valid only for the current
-  // run, and (openBucket_, openIdx_) locate the wave in the calendar —
-  // offsets stay valid because quantized pushes only ever append to
-  // strictly future buckets (no same-step cascades, no draining-bucket
-  // inserts). Allocated only when quantized.
-  bool quantized_ = false;
-  double quantPs_ = 0.0;     ///< sample period (step width), ps
-  double invQuantPs_ = 0.0;  ///< 1 / quantPs_
-  std::vector<std::uint64_t> openTag_;     ///< per net: epoch/step tag
-  std::vector<std::uint32_t> openBucket_;  ///< per net: wave's bucket
-  std::vector<std::uint32_t> openIdx_;     ///< per net: index in bucket
 
   // Reusable arenas (allocation-free after warm-up). Packed words hold
   // lane l in bit l; per-(net, lane) scalars are flat numGates x kLanes.

@@ -82,15 +82,12 @@ struct CompiledDesign {
   std::vector<std::uint32_t> outputNets;     ///< primary outputs, outputs() order
 
   // -- levelization (batch-engine lowering) --------------------------------
-  /// Topological level per gate: 0 for source gates (inputs/constants),
-  /// otherwise 1 + max(level of fanins). Well-defined because netlists are
-  /// built in topological creation order (net index == gate index, fanins
-  /// precede their consumers). The batch engine (sim/batch_sim.h) uses the
-  /// level count to size its calendar-queue horizon, and the quantized-grid
-  /// mode (DESIGN.md §14) additionally orders the merged waves inside one
-  /// sample-grid step by (level, net) — the levelized sweep that makes the
-  /// in-step pop order deterministic and data-flow consistent.
-  std::vector<std::uint32_t> level;
+  /// Topological depth: a gate's level is 0 for source gates
+  /// (inputs/constants), otherwise 1 + max(level of fanins). Well-defined
+  /// because netlists are built in topological creation order (net index
+  /// == gate index, fanins precede their consumers). The batch engine
+  /// (sim/batch_sim.h) uses the level count to size its calendar-queue
+  /// horizon.
   std::uint32_t numLevels = 0;  ///< max(level) + 1 (0 for an empty netlist)
 
   // -- dynamic model snapshot (refresh() re-fills) ------------------------

@@ -40,33 +40,10 @@ SimEngine resolveEngine(SimEngine requested, const EventSim& sim,
   if (requested == SimEngine::Batch) {
     throw std::invalid_argument(
         "acquisition: batch engine requested but the design is ineligible "
-        "(fault overlay present or power model size mismatch)");
+        "(it needs no fault overlay, a power model sized to the netlist, "
+        "and fewer than 2^24 gates)");
   }
   return SimEngine::Reference;
-}
-
-/// Resolves the quantized-grid opt-in (DESIGN.md §14) against the
-/// *requested* engine: SampleGrid is honored only with an explicitly
-/// forced Batch engine. Auto deliberately ignores it — Auto-served runs
-/// must keep the exact engines' pinned determinism digest — and forcing
-/// the reference engine together with SampleGrid is a contradiction (it is
-/// exact by contract), reported here rather than as a confusing
-/// constructor throw deep inside a worker.
-TimeQuantization resolveQuantization(SimEngine requested,
-                                     TimeQuantization quantization) {
-  if (quantization == TimeQuantization::Exact) return quantization;
-  switch (requested) {
-    case SimEngine::Batch:
-      return quantization;
-    case SimEngine::Auto:
-      return TimeQuantization::Exact;  // Auto never selects quantized mode
-    case SimEngine::Reference:
-      break;
-  }
-  throw std::invalid_argument(
-      "acquisition: sample-grid time quantization requires the batch "
-      "engine (engine = SimEngine::Batch); the reference engine is exact "
-      "by contract");
 }
 
 /// Journals the end of an acquisition block: "acquire-finish" on normal
@@ -118,14 +95,13 @@ struct Stimuli {
 /// One acquisition: traces [begin, end) of a schedule whose trace i
 /// draw(i, out) appends to `out` — everything the trace consumes, drawn
 /// from Prng(deriveStreamSeed(seed, i)) in the protocol's order: initial
-/// encoding, final encoding, noise seed. Engine, quantization and threads
-/// are still the caller's request; run() resolves them.
+/// encoding, final encoding, noise seed. Engine and threads are still the
+/// caller's request; run() resolves them.
 struct Plan {
   const char* spanLabel;  ///< "acquire" / "acquire-keyed"
   const char* labelName;  ///< what Stimulus::label is, for error messages
   std::size_t begin, end;
   SimEngine engine;
-  TimeQuantization quantization;
   std::uint32_t numThreads;
   obs::Profiler* profiler;
   obs::ProgressFn progress;
@@ -186,8 +162,6 @@ int groupFailureLane(const EventSim&) { return 0; }
 void run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
          const Plan& plan, TraceSet& out, std::size_t outBase) {
   const SimEngine engine = resolveEngine(plan.engine, sim, power);
-  const TimeQuantization quantization =
-      resolveQuantization(plan.engine, plan.quantization);
   const bool batch = engine == SimEngine::Batch;
   const std::size_t n = plan.end - plan.begin;
   const std::size_t width = batch ? BatchSim::kLanes : 1;
@@ -260,14 +234,8 @@ void run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
 
   try {
     if (batch) {
-      // Under the quantized-grid opt-in the per-lane stimuli are unchanged
-      // and lanes stay independent, so the quantized result is packed the
-      // same way and stays deterministic in seed, thread-count invariant
-      // and slice-concatenation safe — just not bit-identical to Exact.
       const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
-      SimOptions bopts = sim.options();
-      bopts.timeQuantization = quantization;
-      BatchSim bsim(design, bopts);
+      BatchSim bsim(design, sim.options());
       bsim.attachMetrics(sim.metricsRegistry());
       bsim.attachProfiler(plan.profiler);
       runGroups(bsim, [&](BatchSim& worker, const Stimuli& group,
@@ -355,9 +323,8 @@ TraceSet acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     drawClassTrace(sbox, cfg.initialValue, cfg.seed, schedule[i], i, out);
   };
   return run(sbox, sim, power,
-             {"acquire", "class", begin, end, cfg.engine,
-              cfg.timeQuantization, cfg.numThreads, cfg.profiler,
-              cfg.progress, draw});
+             {"acquire", "class", begin, end, cfg.engine, cfg.numThreads,
+              cfg.profiler, cfg.progress, draw});
 }
 
 }  // namespace
@@ -395,8 +362,7 @@ TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
 TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
                       const PowerModel& power, std::uint8_t key,
                       std::uint32_t numTraces, std::uint64_t seed,
-                      std::uint32_t numThreads, SimEngine engine,
-                      TimeQuantization quantization) {
+                      std::uint32_t numThreads, SimEngine engine) {
   const auto draw = [&](std::size_t i, Stimuli& out) {
     Prng rng(deriveStreamSeed(seed, i));
     const std::uint8_t plain = rng.nibble();
@@ -408,8 +374,8 @@ TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
     out.expected.push_back(kPresentSbox[value]);
   };
   return run(sbox, sim, power,
-             {"acquire-keyed", "plaintext", 0, numTraces, engine,
-              quantization, numThreads, nullptr, obs::ProgressFn(), draw});
+             {"acquire-keyed", "plaintext", 0, numTraces, engine, numThreads,
+              nullptr, obs::ProgressFn(), draw});
 }
 
 void acquireAdaptiveWindow(const MaskedSbox& sbox, EventSim& sim,
@@ -443,8 +409,8 @@ void acquireAdaptiveWindow(const MaskedSbox& sbox, EventSim& sim,
                    stim);
   };
   run(sbox, sim, power,
-      {"acquire", "class", 0, numTraces, cfg.engine, cfg.timeQuantization,
-       cfg.numThreads, cfg.profiler, cfg.progress, draw},
+      {"acquire", "class", 0, numTraces, cfg.engine, cfg.numThreads,
+       cfg.profiler, cfg.progress, draw},
       out, outBase);
 }
 

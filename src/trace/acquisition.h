@@ -86,14 +86,6 @@ namespace lpa {
 /// `Batch` force one engine for A/B benchmarking and CI digest
 /// cross-checks. Forcing `Batch` on an ineligible design throws
 /// std::invalid_argument.
-///
-/// Quantized-grid opt-in (DESIGN.md §14): setting
-/// `AcquisitionConfig::timeQuantization = TimeQuantization::SampleGrid`
-/// takes effect ONLY together with an explicitly forced `Batch` engine.
-/// `Auto` deliberately ignores it and serves the exact engines — the
-/// pinned determinism digest must never change under Auto — and forcing
-/// `Reference` with SampleGrid throws std::invalid_argument (the reference
-/// engine is exact by contract).
 enum class SimEngine : std::uint8_t {
   Auto,       ///< batch on an eligible design, reference otherwise
   Reference,  ///< always the reference EventSim
@@ -120,13 +112,6 @@ struct AcquisitionConfig {
   /// Engine selection; any choice yields bit-identical results (see
   /// SimEngine).
   SimEngine engine = SimEngine::Auto;
-  /// Quantized-grid opt-in (DESIGN.md §14): honored only when `engine ==
-  /// SimEngine::Batch` is forced explicitly; `Auto` ignores it (and keeps
-  /// the exact determinism digest), `Reference` + SampleGrid throws. Quantized results are deterministic in `seed`, thread-count
-  /// invariant and slice-concatenation safe (per-lane independence, see
-  /// sim/batch_sim.h), but NOT bit-identical to the exact engines —
-  /// leakage-equivalent only, gated against LEAKAGE_golden.json.
-  TimeQuantization timeQuantization = TimeQuantization::Exact;
   /// Optional cost-attribution profiler (obs/profiler.h): the engine
   /// serving the run (including an internally constructed batch engine
   /// and its worker clones) attaches to it and flushes per-run
@@ -231,17 +216,12 @@ void acquireAdaptiveWindow(const MaskedSbox& sbox, EventSim& sim,
 /// uniformly random `plain`; the trace label is the *plaintext* nibble.
 /// Follows the same determinism contract: trace i depends only on
 /// (seed, i), so results are invariant in `numThreads` (0 = auto).
-/// `quantization` follows the AcquisitionConfig::timeQuantization rules:
-/// honored only with an explicitly forced Batch engine, ignored by Auto,
-/// throws with a forced Reference engine. Every trace gets the same
-/// decode sanity check as acquire(): the netlist must compute
-/// S(plain ^ key).
+/// Every trace gets the same decode sanity check as acquire(): the
+/// netlist must compute S(plain ^ key).
 TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
                       const PowerModel& power, std::uint8_t key,
                       std::uint32_t numTraces, std::uint64_t seed = 1,
                       std::uint32_t numThreads = 0,
-                      SimEngine engine = SimEngine::Auto,
-                      TimeQuantization quantization =
-                          TimeQuantization::Exact);
+                      SimEngine engine = SimEngine::Auto);
 
 }  // namespace lpa

@@ -593,9 +593,18 @@ TEST(BatchAcquire, FaultedDesignFallsBackAndForcedBatchThrows) {
   expectIdenticalTraceSets(ref.second, aut.second);
 
   // Forcing the batch engine on an overlaid netlist is an immediate
-  // configuration error, before any worker runs.
+  // configuration error, before any worker runs, and the message names
+  // every eligibility condition.
   cfg.engine = SimEngine::Batch;
-  EXPECT_THROW(acquire(*sbox, sim, pm, cfg), std::invalid_argument);
+  try {
+    acquire(*sbox, sim, pm, cfg);
+    ADD_FAILURE() << "forced Batch on an ineligible design did not throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fault overlay"), std::string::npos) << what;
+    EXPECT_NE(what.find("power model"), std::string::npos) << what;
+    EXPECT_NE(what.find("2^24 gates"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

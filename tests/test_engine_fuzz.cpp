@@ -1,10 +1,9 @@
 // Tier-1 smoke budget of the differential engine fuzzer (reference vs
-// exact batch vs quantized batch; the "four-way" in the test name counts a
-// scalar fast engine that has since been removed): a small deterministic
-// campaign cheap enough for the pre-commit loop. The nightly slow campaign
-// (test_engine_fuzz_deep.cpp) runs the same harness with a >= 520-case
-// budget, and the quantized-qualification CI job re-runs it with
-// LPA_FUZZ_CASES=3000 nightly. See tests/engine_fuzz.h for the case
+// batch; the "four-way" in the test name counts two engines that have
+// since been removed): a small deterministic campaign cheap enough for the
+// pre-commit loop. The nightly slow campaign (test_engine_fuzz_deep.cpp)
+// runs the same harness with a >= 520-case budget, and the nightly CI
+// build re-runs it with LPA_FUZZ_CASES=3000. See tests/engine_fuzz.h for the case
 // generator and the cross-checked observables; reproduce any failure with
 // LPA_FUZZ_SEED=<printed master seed>.
 

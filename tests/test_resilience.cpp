@@ -348,6 +348,20 @@ TEST(ResilientAcquire, FingerprintExcludesEngineAndThreads) {
             jobs::acquisitionFingerprint(exp.sbox(), power, a, job2));
 }
 
+// A checkpoint is adopted only when its fingerprint matches, so the value
+// for a fixed exact config is pinned: any change to what the fingerprint
+// folds orphans every checkpoint already on disk. OPT, default power,
+// 8 traces/class, default JobConfig.
+TEST(ResilientAcquire, ExactFingerprintIsPinned) {
+  ExperimentConfig ecfg;
+  ecfg.acquisition.tracesPerClass = 8;
+  SboxExperiment exp(SboxStyle::Opt, ecfg);
+  const PowerModel power(exp.sbox().netlist(), ecfg.power);
+  EXPECT_EQ(jobs::acquisitionFingerprint(exp.sbox(), power, ecfg.acquisition,
+                                         jobs::JobConfig{}),
+            0x284F6DED1F9D06FCULL);
+}
+
 TEST(ResilientAcquire, DeadlineReturnsValidatedPartialReport) {
   ExperimentConfig ecfg = smallConfig();
   ecfg.acquisition.tracesPerClass = 32;  // 512 traces, 4 groups of 128

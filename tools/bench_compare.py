@@ -57,9 +57,9 @@ RUN_REPORT_SCHEMAS = ("lpa-run-report/1", "lpa-run-report/2",
 # comparable), contract booleans, ratio params, and throughput params.
 PINNED_PARAMS = ("style", "traces_per_class")
 BOOL_PARAMS = ("obs_bit_identical", "engine_bit_identical",
-               "quant_deterministic", "stress_bit_identical")
-RATIO_PARAMS = ("batch_speedup", "batch_quant_speedup", "stress_speedup",
-                "rsm_rom_batch_speedup", "adaptive_window_speedup")
+               "stress_bit_identical")
+RATIO_PARAMS = ("batch_speedup", "stress_speedup", "rsm_rom_batch_speedup",
+                "adaptive_window_speedup")
 RATIO_FLOOR_FRACTION = 0.75  # floor recorded by --update: 75% of measured
 THROUGHPUT_PREFIX = "traces_per_sec"
 

@@ -38,7 +38,7 @@ def validate_profile(report):
     """Structural check of a run report's profile block.
 
     Returns a list of human-readable problem strings (empty = valid).
-    Shared by tools/test_profile_tools.py and the CI profiling-smoke job,
+    Shared by tools/test_profile_tools.py and the CI smoke job,
     so the gate and the renderer agree on what "well-formed" means.
     """
     errors = []

@@ -7,7 +7,7 @@ ETA, stop reason, resume lineage), a curated selection of /metrics counters,
 and the newest /events journal lines.
 
 The Prometheus parser/validator here is also the CI contract: the
-telemetry-smoke job and the `telemetry_tools_selftest` tier-1 test feed
+smoke job and the `telemetry_tools_selftest` tier-1 test feed
 /metrics documents through validate_exposition(), so a formatting regression
 in src/obs/exposition.cpp fails fast instead of silently breaking scrapers.
 

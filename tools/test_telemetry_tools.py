@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Tests for tools/lpa_watch.py's Prometheus exposition parser/validator and
-renderers — the contract the CI telemetry-smoke job gates /metrics on."""
+renderers — the contract the CI smoke job gates /metrics on."""
 
 import unittest
 
