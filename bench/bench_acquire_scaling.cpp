@@ -105,7 +105,7 @@ std::string httpGet(std::uint16_t port, const char* path) {
 
 int main(int argc, char** argv) {
   using namespace lpa;
-  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, 1);
   const std::uint32_t tracesPerClass =
       bench::positionalCount(args, 0, 64, "tracesPerClass");
 

@@ -24,7 +24,7 @@
 int main(int argc, char** argv) {
   using namespace lpa;
   bench::RunScope scope("bench_adaptive_acquire",
-                        bench::parseBenchArgs(argc, argv));
+                        bench::parseBenchArgs(argc, argv, 2));
   bench::header("Convergence-gated vs fixed-count acquisition",
                 "the Fig. 7 protocol with early stopping");
 

@@ -43,7 +43,7 @@ double digest(const lpa::FaultCampaignResult& res) {
 
 int main(int argc, char** argv) {
   using namespace lpa;
-  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, 1);
   const std::uint32_t tracesPerClass =
       bench::positionalCount(args, 0, 8, "tracesPerClass");
 

@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace lpa;
   bench::RunScope scope("bench_fig7_total_leakage",
-                        bench::parseBenchArgs(argc, argv));
+                        bench::parseBenchArgs(argc, argv, 1));
   bench::header(
       "Total leakage power, fresh and aged, single-bit vs multi-bit",
       "Fig. 7");

@@ -84,7 +84,8 @@ BENCHMARK(BM_LeakagePipelineIsw);
 int main(int argc, char** argv) {
   // Strip the shared observability flags, hand everything else (including
   // argv[0]) to google-benchmark untouched.
-  const lpa::bench::BenchArgs args = lpa::bench::parseBenchArgs(argc, argv);
+  const lpa::bench::BenchArgs args =
+      lpa::bench::parseBenchArgs(argc, argv, lpa::bench::kPassThrough);
   lpa::bench::RunScope scope("bench_perf", args);
   {
     lpa::obs::PhaseTimer phase(scope.report(), "microbenchmarks");

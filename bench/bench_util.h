@@ -112,13 +112,19 @@ struct BenchArgs {
   std::vector<std::string> positional;  ///< everything unrecognized, in order
 };
 
+/// `maxPositionals` of a binary that forwards its positionals to a parser
+/// of its own (google-benchmark, an example's flags), which checks them.
+inline constexpr std::size_t kPassThrough = ~std::size_t(0);
+
 /// Extracts the shared observability flags; unknown flags and positionals
 /// pass through in `positional`. Both `--flag value` and `--flag=value`
 /// spellings are accepted in any position relative to positionals — an
 /// `=`-form flag used to fall through into `positional`, where a bench's
 /// count argument would then silently std::atoi it to 0. Exits with a
-/// usage message on a flag that is missing its value.
-inline BenchArgs parseBenchArgs(int argc, char** argv) {
+/// usage message on a flag that is missing its value, and on a positional
+/// past the `maxPositionals` the binary reads (a stray flag is not ignored).
+inline BenchArgs parseBenchArgs(int argc, char** argv,
+                                std::size_t maxPositionals = 0) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -174,6 +180,11 @@ inline BenchArgs parseBenchArgs(int argc, char** argv) {
     } else {
       args.positional.push_back(a);
     }
+  }
+  if (args.positional.size() > maxPositionals) {
+    std::fprintf(stderr, "%s: unexpected argument \"%s\"\n", argv[0],
+                 args.positional[maxPositionals].c_str());
+    std::exit(2);
   }
   return args;
 }

@@ -118,7 +118,8 @@ bool takeSwitch(std::vector<std::string>& rest, const std::string& flag) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+  bench::BenchArgs args =
+      bench::parseBenchArgs(argc, argv, bench::kPassThrough);
   std::vector<std::string> rest = args.positional;
 
   jobs::JobConfig job;

@@ -14,7 +14,7 @@
 #include "obs/event_journal.h"
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
-#include "stats/adaptive.h"
+#include "sim/batch_sim.h"
 #include "stats/convergence.h"
 #include "trace/prng.h"
 
@@ -86,6 +86,13 @@ bool causedByDivergence(std::exception_ptr eptr) {
   }
 }
 
+/// Overwrites traces [base, base + src.size()) of `dst` with `src`.
+void place(const TraceSet& src, TraceSet& dst, std::size_t base) {
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    dst.set(base + i, src.label(i), src.trace(i));
+  }
+}
+
 }  // namespace
 
 std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
@@ -122,7 +129,6 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
   const std::uint32_t numSamples = power.options().numSamples;
   std::uint64_t totalTraces = 0;
   std::uint64_t groupTraces = 0;
-  std::uint64_t domainSeed = 0;
   if (cfg.adaptive) {
     if (cfg.batchSize == 0 || cfg.batchSize % 16 != 0) {
       throw std::invalid_argument(
@@ -139,7 +145,6 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
           "resilientAcquire: targetCiRel must be > 0");
     }
     groupTraces = cfg.batchSize;
-    domainSeed = deriveStreamSeed(cfg.seed, stats::kAdaptiveBatchStream);
   } else {
     if (job.groupTraces == 0) {
       throw std::invalid_argument(
@@ -150,11 +155,11 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
   }
   const std::uint64_t groupsTotal =
       totalTraces == 0 ? 0 : (totalTraces + groupTraces - 1) / groupTraces;
-  const auto groupSpan = [&](std::uint64_t g) {
-    const std::uint64_t begin = g * groupTraces;
-    return std::pair<std::uint64_t, std::uint64_t>(
-        begin, std::min(begin + groupTraces, totalTraces));
+  /// First trace of group g; groupStart(groupsTotal) is the budget.
+  const auto groupStart = [&](std::uint64_t g) {
+    return std::min(g * groupTraces, totalTraces);
   };
+  const char* label = cfg.adaptive ? "adaptive-acquire" : "resilient-acquire";
 
   const std::uint64_t fingerprint =
       acquisitionFingerprint(sbox, power, cfg, job);
@@ -182,11 +187,10 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
                 cp->groupTraces == groupTraces &&
                 cp->groupsTotal == groupsTotal &&
                 cp->completedGroups <= groupsTotal &&
-                cp->traces.size() ==
-                    std::min(cp->completedGroups * groupTraces, totalTraces);
+                cp->traces.size() == groupStart(cp->completedGroups);
       for (std::uint64_t k = 0; ok && k < cp->completedGroups; ++k) {
-        const auto [b, e] = groupSpan(k);
-        if (digestOfRange(cp->traces, b, e) != cp->groupDigests[k]) {
+        if (digestOfRange(cp->traces, groupStart(k), groupStart(k + 1)) !=
+            cp->groupDigests[k]) {
           ok = false;
         }
       }
@@ -263,26 +267,31 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
         {{"group", std::to_string(g)}, {"reason", reason}});
   };
 
-  /// One group under one engine: a plain acquireRange slice (fixed) or
-  /// one adaptive batch under its derived substream — identical bits to
-  /// what the uninterrupted non-resilient run collects at those indices.
-  const auto runGroup = [&](std::uint64_t g, SimEngine eng) {
-    AcquisitionConfig bcfg = cfg;
-    bcfg.adaptive = false;
-    bcfg.engine = eng;
-    bcfg.progress = {};
-    const auto [begin, end] = groupSpan(g);
+  /// Groups [first, last) under one engine in ONE call, into slots
+  /// [outBase, ...) of `out`: the bits the uninterrupted run collects
+  /// there. Progress is re-reported against the whole budget, kept
+  /// monotone across redone and discarded work by a high-water mark.
+  std::uint64_t reported = 0;
+  const auto simulate = [&](std::uint64_t first, std::uint64_t last,
+                            SimEngine eng, TraceSet& out,
+                            std::size_t outBase) {
+    AcquisitionConfig wcfg = cfg;
+    wcfg.adaptive = false;
+    wcfg.engine = eng;
+    wcfg.progress = {};
+    const std::uint64_t begin = groupStart(first);
+    const std::uint64_t end = groupStart(last);
     if (cfg.progress || cfg.deadlineMs > 0) {
-      bcfg.progress = [&, base = res.traces.size()](
-                          const obs::ProgressUpdate& u) {
+      wcfg.progress = [&, begin](const obs::ProgressUpdate& u) {
         if (outOfTime()) {
           deadlineTripped.store(true, std::memory_order_relaxed);
           return false;
         }
         if (!cfg.progress) return true;
+        reported = std::max(reported, begin + u.done);
         obs::ProgressUpdate o;
-        o.label = "resilient-acquire";
-        o.done = base + u.done;
+        o.label = label;
+        o.done = reported;
         o.total = totalTraces;
         o.elapsedSec = elapsedMs() / 1e3;
         o.ratePerSec = o.elapsedSec > 0.0
@@ -295,11 +304,11 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
       };
     }
     if (cfg.adaptive) {
-      bcfg.tracesPerClass = static_cast<std::uint32_t>((end - begin) / 16);
-      bcfg.seed = deriveStreamSeed(domainSeed, g);
-      return acquire(sbox, sim, power, bcfg);
+      acquireAdaptiveWindow(sbox, sim, power, wcfg, first, end - begin, out,
+                            outBase);
+      return;
     }
-    return acquireRange(sbox, sim, power, bcfg, begin, end);
+    place(acquireRange(sbox, sim, power, wcfg, begin, end), out, outBase);
   };
 
   std::uint64_t lastCheckpointed = g0;
@@ -334,6 +343,8 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
                               {"of", std::to_string(groupsTotal)},
                               {"lineage", info.lineage.back()}});
   };
+  const std::uint32_t checkpointEvery =
+      job.checkpointPath.empty() ? 0 : std::max(job.checkpointEveryGroups, 1u);
 
   info.groupsCompleted = g0;
   stats::ConvergenceMonitor monitor({cfg.targetCiRel, /*minTraces=*/0});
@@ -349,38 +360,67 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
     }
   }
 
+  // Window rule (see the header): at least two 64-lane groups per worker,
+  // and at least as many groups as are already committed.
+  const std::uint64_t threads =
+      resolveWorkerThreads(cfg.numThreads, ~std::size_t(0));
+  const std::uint64_t floorGroups =
+      (2 * threads * BatchSim::kLanes + groupTraces - 1) / groupTraces;
+  std::uint64_t sequentialTo = 0;  // groups below this run one per call
+
+  const auto truncate = [&](const char* reason) {
+    info.truncated = true;
+    info.stopReason = reason;
+    obs::EventJournal::global().warn(
+        "run-truncated",
+        {{"reason", reason}, {"groups", std::to_string(info.groupsCompleted)}});
+  };
+
   std::uint64_t g = g0;
   while (!stopped && g < groupsTotal) {
     if (job.stopAfterGroups > 0 && committedThisRun >= job.stopAfterGroups) {
-      info.truncated = true;
-      info.stopReason = "drain";
-      obs::EventJournal::global().warn(
-          "run-truncated", {{"reason", "drain"},
-                            {"groups", std::to_string(info.groupsCompleted)}});
+      truncate("drain");
       break;
     }
     if (outOfTime()) {
-      info.truncated = true;
-      info.stopReason = "deadline";
-      obs::EventJournal::global().warn(
-          "run-truncated", {{"reason", "deadline"},
-                            {"groups", std::to_string(info.groupsCompleted)}});
+      truncate("deadline");
       break;
     }
 
+    // The window never runs past the next checkpoint write or drain point.
+    std::uint64_t window =
+        g < sequentialTo ? 1
+                         : std::min(groupsTotal - g, std::max(g, floorGroups));
+    if (checkpointEvery > 0) {
+      window = std::min<std::uint64_t>(
+          window, checkpointEvery - committedThisRun % checkpointEvery);
+    }
+    if (job.stopAfterGroups > 0) {
+      window = std::min(window, job.stopAfterGroups - committedThisRun);
+    }
+    const std::uint64_t windowEnd = g + window;
+    const std::uint64_t committed = groupStart(g);
+
     deadlineTripped.store(false, std::memory_order_relaxed);
-    TraceSet group(numSamples);
     SimEngine ranWith = engine;
+    const auto attempt = [&](std::uint32_t a) {
+      ranWith = engine;
+      if (job.beforeGroupHook) {
+        for (std::uint64_t k = g; k < windowEnd; ++k) {
+          job.beforeGroupHook(k, a, engine);
+        }
+      }
+      res.traces.resize(groupStart(windowEnd));
+      simulate(g, windowEnd, engine, res.traces, committed);
+      return 0;
+    };
     try {
-      group = retryWithBackoff(
-          job.retry,
-          [&](std::uint32_t attempt) {
-            ranWith = engine;
-            if (job.beforeGroupHook) job.beforeGroupHook(g, attempt, engine);
-            return runGroup(g, engine);
-          },
-          [&](std::uint32_t, std::exception_ptr eptr) {
-            // Aborts — user or deadline — are not failures; never retry.
+      retryWithBackoff(
+          job.retry, attempt, [&](std::uint32_t a, std::exception_ptr eptr) {
+            // A failed multi-group window is redone one group per call,
+            // and aborts — user or deadline — are not failures: neither is
+            // retried.
+            if (window > 1) return false;
             try {
               std::rethrow_exception(eptr);
             } catch (const obs::ProgressAborted&) {
@@ -388,32 +428,38 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
             } catch (...) {
             }
             const bool diverged = causedByDivergence(eptr);
-            if (diverged) {
-              ++divergences;
-              if (divergences >= job.quarantineAfterDivergences) {
-                quarantine(g, "sim-diverged");
-              }
+            if (diverged && ++divergences >= job.quarantineAfterDivergences) {
+              quarantine(g, "sim-diverged");
+            }
+            if (a + 1 >= job.retry.maxAttempts ||
+                info.retries >= cfg.trapBudget) {
+              return false;
             }
             ++info.retries;
             reg.counter("jobs.retries").add(1);
             obs::EventJournal::global().warn(
-                "group-retry",
-                {{"group", std::to_string(g)},
-                 {"retries", std::to_string(info.retries)},
-                 {"diverged", diverged ? "true" : "false"},
-                 {"error", describeError(eptr)}});
-            return info.retries <= cfg.trapBudget;
+                "group-retry", {{"group", std::to_string(g)},
+                                {"retries", std::to_string(info.retries)},
+                                {"diverged", diverged ? "true" : "false"},
+                                {"error", describeError(eptr)}});
+            return true;
           });
     } catch (const obs::ProgressAborted& e) {
+      res.traces.resize(committed);
       if (deadlineTripped.load(std::memory_order_relaxed)) {
-        info.truncated = true;
-        info.stopReason = "deadline";
+        truncate("deadline");
         break;
       }
       // A user abort propagates, denominated in the overall run.
-      throw obs::ProgressAborted("resilient-acquire",
-                                 res.traces.size() + e.done(), totalTraces);
+      throw obs::ProgressAborted(label, committed + e.done(), totalTraces);
     } catch (const std::exception& e) {
+      if (window > 1) {
+        // The failure may lie past a stop point, and its report must be
+        // the one-group call's.
+        res.traces.resize(committed);
+        sequentialTo = windowEnd;
+        continue;
+      }
       std::throw_with_nested(WorkerError(
           static_cast<std::size_t>(g),
           "resilient group " + std::to_string(g) + "/" +
@@ -421,46 +467,64 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
               std::string(sbox.name()) + "): " + e.what()));
     }
 
-    if (job.perturbHook) job.perturbHook(group, g, ranWith);
-
-    // Online spot-check: re-run a deterministic sample of fast-engine
-    // groups under Reference; a digest mismatch quarantines the fast
-    // engine and commits the reference bits.
-    if (spotEvery > 0 && ranWith != SimEngine::Reference &&
-        g % spotEvery == spotOffset) {
-      ++info.spotChecks;
-      reg.counter("jobs.spot_checks").add(1);
-      TraceSet ref = runGroup(g, SimEngine::Reference);
-      if (digestOfTraceSet(ref) != digestOfTraceSet(group)) {
-        quarantine(g, "spot-check-mismatch");
-        group = std::move(ref);
-      } else {
-        obs::EventJournal::global().info(
-            "spot-check", {{"group", std::to_string(g)}, {"result", "ok"}});
+    // Commit the window group by group, in order.
+    while (g < windowEnd) {
+      const std::uint64_t begin = groupStart(g);
+      const std::uint64_t end = groupStart(g + 1);
+      if (job.perturbHook) {
+        TraceSet group(numSamples, 16, end - begin);
+        for (std::uint64_t i = begin; i < end; ++i) {
+          group.set(i - begin, res.traces.label(i), res.traces.trace(i));
+        }
+        job.perturbHook(group, g, ranWith);
+        place(group, res.traces, begin);
       }
-    }
-
-    res.traces.append(group);
-    stream.addTraceSet(group);
-    groupDigests.push_back(digestOfTraceSet(group));
-    info.groupsCompleted = g + 1;
-    ++committedThisRun;
-    ++g;
-    reg.counter("jobs.groups_committed").add(1);
-
-    if (!job.checkpointPath.empty() &&
-        (job.checkpointEveryGroups == 0 ||
-         committedThisRun % job.checkpointEveryGroups == 0)) {
-      writeCheckpoint();
-    }
-
-    if (cfg.adaptive) {
-      res.estimate = stream.estimate();
-      monitor.observe(res.estimate);
-      if (monitor.converged()) {
-        info.stopReason = "ci-target";
-        stopped = true;
+      // Online spot-check: re-run a deterministic sample of fast-engine
+      // groups under Reference; a digest mismatch quarantines the fast
+      // engine and commits the reference bits.
+      if (spotEvery > 0 && ranWith != SimEngine::Reference &&
+          g % spotEvery == spotOffset) {
+        ++info.spotChecks;
+        reg.counter("jobs.spot_checks").add(1);
+        TraceSet ref(numSamples, 16, end - begin);
+        simulate(g, g + 1, SimEngine::Reference, ref, 0);
+        if (digestOfTraceSet(ref) != digestOfRange(res.traces, begin, end)) {
+          quarantine(g, "spot-check-mismatch");
+          place(ref, res.traces, begin);
+        } else {
+          obs::EventJournal::global().info(
+              "spot-check", {{"group", std::to_string(g)}, {"result", "ok"}});
+        }
       }
+
+      for (std::uint64_t i = begin; i < end; ++i) {
+        stream.addTrace(res.traces.label(i), res.traces.trace(i));
+      }
+      if (checkpointEvery > 0) {
+        groupDigests.push_back(digestOfRange(res.traces, begin, end));
+      }
+      info.groupsCompleted = ++g;
+      ++committedThisRun;
+      reg.counter("jobs.groups_committed").add(1);
+
+      if (cfg.adaptive) {
+        res.estimate = stream.estimate();
+        monitor.observe(res.estimate);
+        if (monitor.converged()) {
+          info.stopReason = "ci-target";
+          stopped = true;
+        }
+      }
+      if (checkpointEvery > 0 && committedThisRun % checkpointEvery == 0) {
+        writeCheckpoint();
+      }
+      // A stop, a quarantine or the deadline discards the rest.
+      if (stopped || engine != ranWith || outOfTime()) break;
+    }
+    if (g < windowEnd) {
+      reg.counter("adaptive.traces_discarded")
+          .add(groupStart(windowEnd) - groupStart(g));
+      res.traces.resize(groupStart(g));
     }
   }
 
@@ -473,6 +537,7 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
                          {"of", std::to_string(groupsTotal)}});
   if (info.groupsCompleted != lastCheckpointed) writeCheckpoint();
   if (stream.traces() > 0 && !cfg.adaptive) res.estimate = stream.estimate();
+  res.history = monitor.history();
   reg.gauge("jobs.groups_completed")
       .set(static_cast<double>(info.groupsCompleted));
   return res;

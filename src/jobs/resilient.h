@@ -1,43 +1,53 @@
 #pragma once
 // Durable acquisition: checkpoint/resume, deadlines, retry, quarantine
-// (DESIGN.md §12).
-//
-// `resilientAcquire` runs the ordinary acquisition protocol — fixed
-// schedule or convergence-gated — group by group, committing each group
-// to a crash-safe checkpoint (jobs/checkpoint.h), so a long campaign
-// survives SIGKILL, node preemption, and transient worker failures
-// without losing committed work or its determinism guarantees.
+// (DESIGN.md §12). `resilientAcquire` is the one acquisition loop for fixed
+// and convergence-gated runs — stats::adaptiveAcquire is an adapter over
+// it — and commits the run group by group, checkpointing the committed
+// prefix crash-safely (jobs/checkpoint.h), so a campaign survives SIGKILL,
+// preemption and transient worker failures without losing committed work.
 //
 // ## Resume invariant
 //
-// Group g of a fixed run is the schedule slice
-// [g*groupTraces, ...) collected by acquireRange(); group g of an
-// adaptive run is batch g under the adaptive substream
-// deriveStreamSeed(deriveStreamSeed(seed, kAdaptiveBatchStream), g) — in
-// both cases a pure function of (seed, g), never of wall clock, engine,
-// thread count, or earlier groups. Hence a resumed run's final TraceSet,
-// leakage estimate, and determinism digest are bit-identical to the
-// uninterrupted run's, for any interleaving of kills, engines, and
-// thread counts across sessions. The config fingerprint stored in the
-// checkpoint deliberately EXCLUDES engine and thread count — resuming a
-// Batch-engine run under Reference on a single thread is legal and
-// bit-identical; it INCLUDES everything that determines result bits
-// (netlist structure, seed, protocol knobs, estimator options).
+// Group g is the schedule slice [g*groupTraces, ...) of a fixed run, or
+// batch g (under stats::adaptiveBatchSeed(seed, g)) of an adaptive one: a
+// pure function of (seed, g), never of wall clock, engine, thread count,
+// window or earlier groups. So a resumed run's traces, estimate and digest
+// are bit-identical to the uninterrupted run's, and the checkpoint
+// fingerprint EXCLUDES engine and thread count but INCLUDES everything
+// that determines result bits (netlist, seed, protocol and estimator knobs).
+//
+// ## Windows
+//
+// W consecutive groups are simulated in one call (acquireRange, or
+// acquireAdaptiveWindow for batches), T being the resolved worker count:
+//
+//   W = min(groups left, max(groups committed, ceil(2 * T * 64 / groupTraces)))
+//
+// — two 64-lane groups per worker, doubling as the run grows. A window
+// never runs past the next checkpoint write or stopAfterGroups drain point,
+// and is committed group by group: perturb hook, spot-check, fold, stop
+// rule, checkpoint cadence, deadline check. A stop, deadline or quarantine
+// discards the rest of the window (`adaptive.traces_discarded`: fewer than
+// max(kept traces, 2 * T * 64)). Lanes are bit-identical to scalar runs,
+// so results do not depend on W.
 //
 // ## Failure handling
 //
-// Transient per-group failures retry with bounded exponential backoff
-// (RetryPolicy, trace/sharded_pool.h); a retried group re-derives the
-// same substreams so a retry is invisible in the result bits. Budget
-// exhaustion (cfg.trapBudget) escalates as a WorkerError naming the
-// group. A deadline (cfg.deadlineMs) cancels cooperatively through the
-// progress-abort path and returns the committed prefix with `truncated`
-// set instead of throwing. Engine quarantine guards the fast engines: a
-// deterministic random sample of committed groups is re-run under
-// Reference and digest-compared (spot-check); a mismatch or repeated
-// SimDiverged demotes the run to the Reference engine and records a
-// QuarantineEvent. All of it lands in the run report's /3 `resilience`
-// block via fillResilience().
+// A failed window of W > 1 groups is redone one group per call, so a
+// failure is reported as the one-group call reports it, never past a stop
+// point; that attempt counts as neither a retry nor a divergence. Group
+// failures retry with bounded backoff (RetryPolicy, trace/sharded_pool.h),
+// invisibly in the result bits; the last attempt, or cfg.trapBudget
+// retries, escalates as a WorkerError naming the group, failure nested. A
+// deadline (cfg.deadlineMs) cancels cooperatively and returns the
+// committed prefix with `truncated` set; a user abort is rethrown as
+// obs::ProgressAborted against the budget. Progress (monotone, capped by
+// the budget) and aborts are labelled "adaptive-acquire" or
+// "resilient-acquire". Engine quarantine: a deterministic sample of
+// fast-engine groups is re-run under Reference and digest-compared; a
+// mismatch or repeated SimDiverged demotes the run to Reference and
+// records a QuarantineEvent. All of it lands in the run report's
+// `resilience` block via fillResilience().
 
 #include <cstdint>
 #include <functional>
@@ -49,6 +59,7 @@
 #include "power/power_model.h"
 #include "sboxes/masked_sbox.h"
 #include "sim/event_sim.h"
+#include "stats/convergence.h"
 #include "stats/streaming_leakage.h"
 #include "trace/acquisition.h"
 #include "trace/sharded_pool.h"
@@ -68,7 +79,7 @@ struct QuarantineEvent {
   std::string reason;
 };
 
-/// The fate of one resilient run, rendered into the run report's /3
+/// The fate of one resilient run, rendered into the run report's
 /// `resilience` block by fillResilience().
 struct ResilienceInfo {
   bool resumed = false;      ///< started from a loaded checkpoint
@@ -115,13 +126,15 @@ struct JobConfig {
 
   // ## Test hooks (all default-empty; pure observers unless they throw)
 
-  /// Called before every group attempt — kill harnesses SIGKILL here,
-  /// fault-injection tests throw from here.
+  /// Called before every group attempt — for a multi-group window, once
+  /// per group of the window before it is simulated. Kill harnesses
+  /// SIGKILL here, fault-injection tests throw from here.
   std::function<void(std::uint64_t group, std::uint32_t attempt,
                      SimEngine engine)>
       beforeGroupHook;
   /// May corrupt a freshly acquired group (before the spot-check sees
-  /// it) to exercise quarantine; `engine` is the engine that ran it.
+  /// it) to exercise quarantine; `engine` is the engine that ran it. The
+  /// group must keep its size.
   std::function<void(TraceSet& group, std::uint64_t groupIndex,
                      SimEngine engine)>
       perturbHook;
@@ -135,6 +148,9 @@ struct ResilientResult {
   TraceSet traces{0};
   stats::LeakageEstimate estimate;
   ResilienceInfo resilience;
+  /// Adaptive runs: one point per group folded in this session, after
+  /// the point of the restored estimate if the run resumed.
+  std::vector<stats::ConvergencePoint> history;
 };
 
 /// Fingerprint binding a checkpoint to one logical run: netlist digest +
@@ -157,7 +173,7 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
                                  const AcquisitionConfig& cfg,
                                  const JobConfig& job = {});
 
-/// The /3 `resilience` block for one run.
+/// The `resilience` block of the run report for one run.
 obs::Json resilienceJson(const ResilienceInfo& info);
 
 /// resilienceJson + RunReport::setResilience in one call.

@@ -11,7 +11,7 @@
 // no file IO at all, beats only feed the sink.
 //
 // Schema "lpa-heartbeat/2" (validated by the CI smoke job; tools accept
-// /1 and /2):
+// only /2):
 //
 //   {
 //     "schema": "lpa-heartbeat/2",
@@ -23,17 +23,14 @@
 //     "done": <number>, "total": <number>,
 //     "rate_per_sec": <number>, "eta_sec": <number, -1 unknown>,
 //     "elapsed_sec": <number>,
-//     "stop_reason": "<why a finished run stopped>",   // /2: "" running
-//     "lineage_id": "<resume lineage>"                 // /2: "" fresh run
+//     "stop_reason": "<why a finished run stopped>",   // "" running
+//     "lineage_id": "<resume lineage>"                 // "" fresh run
 //   }
 //
-// /2 is a strict superset of /1: the two new fields close the gaps found
-// operating resumable campaigns — a watcher could see *that* a run stopped
-// but not *why* (deadline? drained? truncated checkpoint?), and could not
-// tell a fresh run from the Nth resume of one lineage. stop_reason carries
-// jobs::StopCause spellings ("completed", "deadline", "aborted", ...);
-// lineage_id carries the checkpoint's resume lineage so every heartbeat of
-// one logical campaign is attributable across process restarts.
+// stop_reason tells a watcher *why* a run stopped ("completed",
+// "deadline", "aborted", ...), not just *that* it did; lineage_id carries
+// the checkpoint's resume lineage, so every heartbeat of one logical
+// campaign is attributable across process restarts.
 //
 // Beats ride the existing ProgressFn plumbing (bench_util.h chains one in
 // under --heartbeat / --listen), so the rate/ETA shown are the
@@ -61,8 +58,6 @@ class Heartbeat {
   Heartbeat& operator=(const Heartbeat&) = delete;
 
   static const char* schemaId() { return "lpa-heartbeat/2"; }
-  /// Previous schema, still accepted by every reader (tools/, CI).
-  static const char* legacySchemaId() { return "lpa-heartbeat/1"; }
 
   /// Publishes a "running" heartbeat (rate-limited; thread-safe).
   void beat(const std::string& phase, std::uint64_t done, std::uint64_t total,

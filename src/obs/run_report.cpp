@@ -116,11 +116,8 @@ std::string RunReport::validate(const Json& j) {
   };
   if (auto e = str("schema"); !e.empty()) return e;
   const std::string& schema = j.find("schema")->asString();
-  if (schema != schemaId() && schema != previousSchemaId() &&
-      schema != schema2Id() && schema != legacySchemaId()) {
-    return "schema is none of " + std::string(schemaId()) + ", " +
-           std::string(previousSchemaId()) + ", " +
-           std::string(schema2Id()) + ", " + std::string(legacySchemaId());
+  if (schema != schemaId()) {
+    return "schema \"" + schema + "\" is not " + std::string(schemaId());
   }
   if (auto e = str("name"); !e.empty()) return e;
   if (j.find("name")->asString().empty()) return "name is empty";
@@ -193,10 +190,10 @@ std::string RunReport::validate(const Json& j) {
     }
   }
 
-  // /2 and /3 require the statistics block; its typed keys are validated
-  // when present (the block is otherwise open for run-specific detail like
-  // the dashboard's per-style matrix).
-  if (schema != std::string(legacySchemaId())) {
+  // The statistics block is required; its typed keys are validated when
+  // present (the block is otherwise open for run-specific detail like the
+  // dashboard's per-style matrix).
+  {
     const Json* stats = j.find("statistics");
     if (!stats) return "missing key: statistics";
     if (!stats->isObject()) return "statistics is not an object";
@@ -219,11 +216,10 @@ std::string RunReport::validate(const Json& j) {
     }
   }
 
-  // /3+ requires the resilience block (empty for a plain run); typed keys
+  // The resilience block is required (empty for a plain run); typed keys
   // are validated when present so a malformed durable-run summary is
   // rejected rather than silently mis-read by the dashboard or gate.
-  if (schema == std::string(schemaId()) ||
-      schema == std::string(previousSchemaId())) {
+  {
     const Json* res = j.find("resilience");
     if (!res) return "missing key: resilience";
     if (!res->isObject()) return "resilience is not an object";
@@ -271,10 +267,10 @@ std::string RunReport::validate(const Json& j) {
     }
   }
 
-  // /4 requires the profile block (empty for an unprofiled run); typed
+  // The profile block is required (empty for an unprofiled run); typed
   // keys are validated when present so a malformed cost-attribution
   // profile fails loudly instead of rendering as an empty HTML report.
-  if (schema == std::string(schemaId())) {
+  {
     const Json* prof = j.find("profile");
     if (!prof) return "missing key: profile";
     if (!prof->isObject()) return "profile is not an object";

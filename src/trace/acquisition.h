@@ -123,16 +123,17 @@ struct AcquisitionConfig {
   // ## Convergence-gated (adaptive) acquisition
   //
   // With `adaptive` set, acquire() delegates to stats::adaptiveAcquire
-  // (stats/adaptive.h): traces arrive in deterministic batches of
-  // `batchSize` — batch b is a balanced mini-schedule run under the derived
-  // substream deriveStreamSeed(deriveStreamSeed(seed, kAdaptiveBatchStream),
-  // b), so batch contents depend only on (seed, b, batchSize) — and the run
-  // stops as soon as the relative half-width of the streaming total-leakage
-  // CI reaches `targetCiRel`, or at `maxTraces`. Several batches are
-  // simulated per call (acquireAdaptiveWindow) and folded one at a time.
-  // The collected TraceSet is bit-reproducible given (seed, batchSize) and
-  // thread-count invariant, and a converged run's traces are a prefix of
-  // the maxTraces run's.
+  // (stats/adaptive.h), and jobs::resilientAcquire runs convergence-gated
+  // groups: traces arrive in deterministic batches of `batchSize` — batch b
+  // is a balanced mini-schedule run under the derived substream
+  // stats::adaptiveBatchSeed(seed, b), so batch contents depend only on
+  // (seed, b, batchSize) — and the run stops as soon as the relative
+  // half-width of the streaming total-leakage CI reaches `targetCiRel`, or
+  // at `maxTraces`. The one acquisition loop (jobs/resilient.h) simulates
+  // several batches per call (acquireAdaptiveWindow) and folds them one at
+  // a time. The collected TraceSet is bit-reproducible given (seed,
+  // batchSize) and thread-count invariant, and a converged run's traces
+  // are a prefix of the maxTraces run's.
   // `tracesPerClass` only serves as the default for maxTraces.
   bool adaptive = false;
   /// Stop once halfWidth(total-leakage CI) / total <= this.
@@ -147,9 +148,9 @@ struct AcquisitionConfig {
   // ## Durable (deadline-bounded, retrying) acquisition
   //
   // These knobs are honored by the resilience layer (jobs/resilient.h),
-  // which runs acquisition group-by-group with checkpoint/resume; plain
-  // acquire() ignores them (it has no partial-result channel to return a
-  // truncated TraceSet through).
+  // which commits acquisition group by group with checkpoint/resume; plain
+  // acquire() and stats::adaptiveAcquire ignore them (they have no
+  // partial-result channel to return a truncated TraceSet through).
 
   /// Wall-clock budget in milliseconds for a resilient run (0 = none).
   /// The deadline cancels cooperatively through the ProgressMeter abort
@@ -182,18 +183,19 @@ TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
 /// Because trace i draws everything from Prng(deriveStreamSeed(seed, i)),
 /// concatenating slices in index order is bit-identical to one full
 /// acquire() — the property the checkpoint/resume layer (jobs/resilient.h)
-/// is built on. Engine and thread count are free per slice. cfg.adaptive
-/// must be false (adaptive runs are sliced by batch, not by index).
+/// is built on: a window of fixed-run groups is one slice. Engine and
+/// thread count are free per slice. cfg.adaptive must be false (adaptive
+/// runs are sliced by batch, not by index).
 TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
                       const PowerModel& power, const AcquisitionConfig& cfg,
                       std::size_t begin, std::size_t end);
 
-/// One window of an adaptive run (stats/adaptive.h): the `numTraces`
-/// traces of run batches firstBatch, firstBatch + 1, ... drawn, packed and
-/// simulated in ONE call, written to slots [outBase, outBase + numTraces)
-/// of the pre-sized `out`. Window trace i belongs to batch b = firstBatch +
-/// i / batchSize at index j = i mod batchSize, and is drawn exactly as
-/// acquire() draws trace j of that batch: class from
+/// One window of an adaptive run (jobs/resilient.h, its one caller): the
+/// `numTraces` traces of run batches firstBatch, firstBatch + 1, ...
+/// drawn, packed and simulated in ONE call, written to slots [outBase,
+/// outBase + numTraces) of the pre-sized `out`. Window trace i belongs to
+/// batch b = firstBatch + i / batchSize at index j = i mod batchSize, and
+/// is drawn exactly as acquire() draws trace j of that batch: class from
 /// balancedClassSchedule(size_b / 16, batchSeed_b), everything else from
 /// Prng(deriveStreamSeed(batchSeed_b, j)), with batchSeed_b =
 /// stats::adaptiveBatchSeed(cfg.seed, b) and size_b = cfg.batchSize except

@@ -35,13 +35,13 @@ class TraceSet {
   void reserve(std::size_t n);
 
   /// Truncates to the first `n` traces, or grows with all-zero class-0
-  /// traces to be filled with set() (the adaptive runner sizes its result
-  /// one acquisition window at a time).
+  /// traces to be filled with set() (the acquisition loop,
+  /// jobs/resilient.h, sizes its result one window at a time).
   void resize(std::size_t n);
 
   /// Concatenates `other`'s traces after this set's, preserving order.
-  /// Shapes (numSamples, numClasses) must match. The adaptive and
-  /// resilient runners grow their result this way, batch by batch.
+  /// Shapes (numSamples, numClasses) must match. Sliced acquisitions are
+  /// reassembled this way.
   void append(const TraceSet& other);
 
   std::uint32_t numSamples() const { return numSamples_; }

@@ -1,10 +1,14 @@
 // Slow-tier tests for convergence-gated acquisition (stats/adaptive.h):
 // determinism across thread counts and engines, the early-stop-is-a-prefix
-// contract, stop semantics, and the AcquisitionConfig::adaptive routing.
+// contract, stop semantics, the AcquisitionConfig::adaptive routing, and a
+// drained + resumed adaptive run of the durable runner (jobs/resilient.h)
+// continuing the uninterrupted run prefix-identically.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "core/experiment.h"
 #include "stats/adaptive.h"
@@ -12,20 +16,11 @@
 namespace lpa {
 namespace {
 
-bool traceSetsEqual(const TraceSet& a, const TraceSet& b) {
-  if (a.size() != b.size() || a.numSamples() != b.numSamples()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a.label(i) != b.label(i)) return false;
-    if (std::memcmp(a.trace(i), b.trace(i),
-                    a.numSamples() * sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool isPrefixOf(const TraceSet& prefix, const TraceSet& full) {
-  if (prefix.size() > full.size()) return false;
+  if (prefix.size() > full.size() ||
+      prefix.numSamples() != full.numSamples()) {
+    return false;
+  }
   for (std::size_t i = 0; i < prefix.size(); ++i) {
     if (prefix.label(i) != full.label(i)) return false;
     if (std::memcmp(prefix.trace(i), full.trace(i),
@@ -34,6 +29,10 @@ bool isPrefixOf(const TraceSet& prefix, const TraceSet& full) {
     }
   }
   return true;
+}
+
+bool traceSetsEqual(const TraceSet& a, const TraceSet& b) {
+  return a.size() == b.size() && isPrefixOf(a, b);
 }
 
 ExperimentConfig adaptiveConfig() {
@@ -175,6 +174,68 @@ TEST(AdaptiveAcquire, RejectsMalformedConfig) {
   bad.acquisition.maxTraces = 100;  // not a multiple of 16
   SboxExperiment b3(SboxStyle::Isw, bad);
   EXPECT_THROW(b3.adaptiveAcquireAt(0.0), std::invalid_argument);
+}
+
+std::string tmpPath(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+const char* stopName(stats::AdaptiveStop stop) {
+  return stop == stats::AdaptiveStop::CiTarget ? "ci-target" : "max-traces";
+}
+
+TEST(AdaptiveResilience, DrainAndResumeIsPrefixIdenticalContinuation) {
+  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Batch};
+  for (SimEngine engine : engines) {
+    for (std::uint32_t threads : {1u, 0u}) {  // 0 = hardware concurrency
+      // RSM (masked: real within-class variance), a 512-trace budget in
+      // batches of 128, and a target that exhausts it.
+      ExperimentConfig cfg;
+      cfg.acquisition.tracesPerClass = 32;
+      cfg.acquisition.adaptive = true;
+      cfg.acquisition.batchSize = 128;
+      cfg.acquisition.targetCiRel = 1e-6;
+      cfg.acquisition.engine = engine;
+      cfg.acquisition.numThreads = threads;
+
+      SboxExperiment plain(SboxStyle::Rsm, cfg);
+      const stats::AdaptiveResult full = plain.adaptiveAcquireAt(0.0, kFourFolds);
+
+      const std::string path = tmpPath(
+          "lpa_adaptive_resume_" + std::to_string(static_cast<int>(engine)) +
+          "_" + std::to_string(threads) + ".ckpt");
+      jobs::JobConfig job;
+      job.checkpointPath = path;
+      job.statsOpt = kFourFolds;
+      job.stopAfterGroups = 2;
+      SboxExperiment first(SboxStyle::Rsm, cfg);
+      const jobs::ResilientResult half = first.resilientAcquireAt(0.0, job);
+      EXPECT_TRUE(half.resilience.truncated);
+      EXPECT_EQ(half.resilience.stopReason, "drain");
+      ASSERT_EQ(half.traces.size(), 256u);
+      // The drained run is a strict prefix of the uninterrupted one.
+      for (std::size_t i = 0; i < half.traces.size(); ++i) {
+        ASSERT_EQ(half.traces.label(i), full.traces.label(i));
+        ASSERT_EQ(std::memcmp(half.traces.trace(i), full.traces.trace(i),
+                              half.traces.numSamples() * sizeof(double)),
+                  0);
+      }
+
+      jobs::JobConfig rest = job;
+      rest.stopAfterGroups = 0;
+      SboxExperiment second(SboxStyle::Rsm, cfg);
+      const jobs::ResilientResult res = second.resilientAcquireAt(0.0, rest);
+      EXPECT_TRUE(res.resilience.resumed);
+      EXPECT_TRUE(traceSetsEqual(res.traces, full.traces))
+          << "engine " << static_cast<int>(engine) << " threads " << threads;
+      EXPECT_EQ(res.estimate.total, full.estimate.total);
+      EXPECT_EQ(res.resilience.groupsCompleted, full.batches);
+      EXPECT_EQ(res.resilience.stopReason, stopName(full.stop));
+      std::remove(path.c_str());
+    }
+  }
 }
 
 }  // namespace

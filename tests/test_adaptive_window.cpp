@@ -13,6 +13,8 @@
 
 #include "core/experiment.h"
 #include "crypto/present.h"
+#include "jobs/resilient.h"
+#include "jobs/trace_digest.h"
 #include "obs/metrics.h"
 #include "stats/adaptive.h"
 #include "trace/sharded_pool.h"
@@ -278,15 +280,31 @@ TEST(AdaptiveWindow, FailureIsReportedAsTheOneBatchCallReportsIt) {
       acfg.engine = engine;
       acfg.numThreads = threads;
       Rig rig(reached, cfg);
+      const std::uint64_t retries0 = counterValue("jobs.retries");
       EXPECT_EQ(workerErrorOf([&] {
                   (void)stats::adaptiveAcquire(reached, rig.sim, rig.power,
                                                acfg);
                 }),
                 oracleError);
+      EXPECT_EQ(counterValue("jobs.retries"), retries0)
+          << "a plain adaptive run makes one attempt per batch";
       Rig pastRig(pastStop, cfg);
       expectSameRun(
           stats::adaptiveAcquire(pastStop, pastRig.sim, pastRig.power, acfg),
           want);
+
+      // The durable runner with retries on: the failed window is redone
+      // one batch per call, and that window attempt is not a retry.
+      AcquisitionConfig adaptive = acfg;
+      adaptive.adaptive = true;
+      jobs::JobConfig job;
+      job.retry.baseBackoffMs = 0;
+      const jobs::ResilientResult durable = jobs::resilientAcquire(
+          pastStop, pastRig.sim, pastRig.power, adaptive, job);
+      EXPECT_EQ(jobs::digestOfTraceSet(durable.traces),
+                jobs::digestOfTraceSet(want.traces));
+      EXPECT_EQ(durable.resilience.stopReason, "ci-target");
+      EXPECT_EQ(durable.resilience.retries, 0u);
     }
   }
 }

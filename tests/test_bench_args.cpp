@@ -4,7 +4,8 @@
 // into positional[0], where a bench's count argument would std::atoi it to
 // 0 and silently acquire nothing. Both flag spellings must now parse in
 // any position, and a malformed count must be a loud usage error (exit 2),
-// never a silent zero.
+// never a silent zero. A positional the binary never reads is a usage
+// error too.
 
 #include "bench/bench_util.h"
 
@@ -30,10 +31,13 @@ class Argv {
   std::vector<char*> ptrs_;
 };
 
-bench::BenchArgs parse(std::vector<std::string> words) {
+/// Parses `words` as a binary that forwards its positionals (the flag
+/// tests below), or one that reads `maxPositionals` of them.
+bench::BenchArgs parse(std::vector<std::string> words,
+                       std::size_t maxPositionals = bench::kPassThrough) {
   words.insert(words.begin(), "bench_under_test");
   Argv a(std::move(words));
-  return bench::parseBenchArgs(a.argc(), a.argv());
+  return bench::parseBenchArgs(a.argc(), a.argv(), maxPositionals);
 }
 
 TEST(ParseBenchArgs, SeparateValueFlagsInAnyPosition) {
@@ -81,6 +85,18 @@ TEST(ParseBenchArgsDeath, MissingFlagValueExitsLoudly) {
               "--json requires a path argument");
   EXPECT_EXIT(parse({"32", "--trace"}), ::testing::ExitedWithCode(2),
               "--trace requires a path argument");
+}
+
+TEST(ParseBenchArgsDeath, UnreadPositionalExitsInsteadOfBeingIgnored) {
+  // `bench_fig7_total_leakage 2 --quantized` used to run and exit 0: the
+  // unknown flag became positional 1, which that bench never reads.
+  EXPECT_EQ(parse({"2", "--json=r.json"}, 1).positional.size(), 1u);
+  EXPECT_EXIT(parse({"2", "--quantized"}, 1), ::testing::ExitedWithCode(2),
+              "unexpected argument \"--quantized\"");
+  EXPECT_EXIT(parse({"--progress", "16"}, 0), ::testing::ExitedWithCode(2),
+              "unexpected argument \"16\"");
+  EXPECT_EQ(parse({"--benchmark_filter=Sim", "x"}).positional.size(), 2u)
+      << "pass-through binaries keep every positional";
 }
 
 TEST(ParseBenchArgsDeath, MalformedCountExitsInsteadOfSilentZero) {

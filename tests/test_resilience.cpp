@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include "jobs/checkpoint.h"
 #include "jobs/resilient.h"
 #include "jobs/trace_digest.h"
+#include "obs/event_journal.h"
 #include "obs/run_report.h"
 #include "stats/report.h"
 #include "trace/acquisition.h"
@@ -538,67 +540,153 @@ TEST(ResilientAcquire, RepeatedDivergenceQuarantinesEngine) {
   EXPECT_EQ(jobs::digestOfTraceSet(res.traces), expected);
 }
 
+/// Number of acquisition calls journalled since event `since`.
+std::size_t acquireCallsSince(std::uint64_t since) {
+  const obs::EventJournal& journal = obs::EventJournal::global();
+  std::size_t calls = 0;
+  for (const obs::JournalEvent& ev :
+       journal.tail(static_cast<std::size_t>(journal.emitted() - since))) {
+    if (ev.kind == "acquire-start") ++calls;
+  }
+  return calls;
+}
+
+TEST(ResilientAcquire, WindowsSpanGroupsBetweenCheckpoints) {
+  ExperimentConfig ecfg = smallConfig();
+  SboxExperiment plain(SboxStyle::Opt, ecfg);
+  const TraceSet expected = plain.acquireAt(0.0);
+
+  // 128 traces in 11 groups of 12 (the last one of 8), a checkpoint every
+  // 4 groups, drained after 6. One worker's window floor is 11 groups, so
+  // the first session calls [0, 4) and [4, 6), the resumed one [6, 10) and
+  // [10, 11): every window ends at a checkpoint write or the drain point.
+  const std::string path = tmpPath("lpa_resume_windows.ckpt");
+  jobs::JobConfig job;
+  job.checkpointPath = path;
+  job.groupTraces = 12;
+  job.checkpointEveryGroups = 4;
+  job.stopAfterGroups = 6;
+  job.statsOpt = kFourFolds;
+  jobs::ResilientResult res;
+  for (int session = 0; session < 2; ++session) {
+    SboxExperiment exp(SboxStyle::Opt, ecfg);
+    const std::uint64_t since = obs::EventJournal::global().emitted();
+    res = exp.resilientAcquireAt(0.0, job);
+    EXPECT_EQ(acquireCallsSince(since), 2u) << "session " << session;
+    EXPECT_EQ(res.traces.size(), session == 0 ? 72u : 128u);
+    job.stopAfterGroups = 0;
+  }
+  EXPECT_TRUE(traceSetsEqual(res.traces, expected));
+  EXPECT_EQ(res.resilience.stopReason, "completed");
+  stats::StreamingLeakage stream(expected.numSamples(), kFourFolds);
+  stream.addTraceSet(expected);
+  EXPECT_EQ(res.estimate.total, stream.estimate().total);
+
+  // The lineage a run committing one group per call writes: the digest of
+  // the committed prefix at every checkpoint (cadence and drain).
+  std::vector<std::string> lineage;
+  for (std::size_t groups : {4u, 6u, 10u, 11u}) {
+    jobs::DigestAccumulator prefix;
+    prefix.addRange(expected, 0, std::min<std::size_t>(groups * 12, 128));
+    lineage.push_back("g" + std::to_string(groups) + "/11:" + prefix.hex());
+  }
+  EXPECT_EQ(res.resilience.lineage, lineage);
+  std::remove(path.c_str());
+}
+
+TEST(ResilientAcquire, DeadlineInsideAWindowDiscardsTheRest) {
+  ExperimentConfig ecfg = smallConfig();  // one window of all 4 groups
+  ecfg.acquisition.deadlineMs = 500;
+  jobs::JobConfig job;
+  job.groupTraces = 32;
+  job.elapsedMsOverride = [](std::uint64_t committed) {
+    return committed >= 2 ? 1000.0 : 0.0;
+  };
+  obs::Counter discarded =
+      obs::MetricsRegistry::global().counter("adaptive.traces_discarded");
+  const std::uint64_t discarded0 = discarded.value();
+  SboxExperiment exp(SboxStyle::Opt, ecfg);
+  const jobs::ResilientResult res = exp.resilientAcquireAt(0.0, job);
+  EXPECT_EQ(res.resilience.stopReason, "deadline");
+  EXPECT_EQ(res.resilience.groupsCompleted, 2u);
+  EXPECT_EQ(res.traces.size(), 64u);
+  EXPECT_EQ(discarded.value() - discarded0, 64u);
+}
+
 // ------------------------------------------------------- SIGKILL harness
 
 TEST(KillHarness, SigkillMidRunResumesBitIdentically) {
-  ExperimentConfig ecfg = smallConfig();
-  SboxExperiment plain(SboxStyle::Opt, ecfg);
-  const std::uint64_t expected =
-      jobs::digestOfTraceSet(plain.acquireAt(0.0));
+  // A fixed run in 32-trace groups, and an adaptive one whose 32-trace
+  // batches are its groups and whose target is never met (on RSM: OPT's
+  // noise-free classes resolve the CI to ~0): 4 groups each.
+  for (const bool adaptive : {false, true}) {
+    ExperimentConfig ecfg = smallConfig();
+    const SboxStyle style = adaptive ? SboxStyle::Rsm : SboxStyle::Opt;
+    if (adaptive) {
+      ecfg.acquisition.adaptive = true;
+      ecfg.acquisition.batchSize = 32;
+      ecfg.acquisition.targetCiRel = 1e-9;
+    }
+    SboxExperiment plain(style, ecfg);
+    const std::uint64_t expected =
+        jobs::digestOfTraceSet(plain.acquireAt(0.0));
 
-  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Batch};
-  for (SimEngine engine : engines) {
-    for (std::uint32_t threads : {1u, 2u}) {
-      const std::string path = tmpPath(
-          "lpa_kill_" + std::to_string(static_cast<int>(engine)) + "_" +
-          std::to_string(threads) + ".ckpt");
+    const SimEngine engines[] = {SimEngine::Reference, SimEngine::Batch};
+    for (SimEngine engine : engines) {
+      for (std::uint32_t threads : {1u, 2u}) {
+        const std::string path = tmpPath(
+            std::string(adaptive ? "lpa_kill_adaptive_" : "lpa_kill_") +
+            std::to_string(static_cast<int>(engine)) + "_" +
+            std::to_string(threads) + ".ckpt");
 
-      const pid_t child = fork();
-      ASSERT_GE(child, 0);
-      if (child == 0) {
-        // Child: run with a hook that SIGKILLs the process the moment
-        // group 2 starts — groups 0 and 1 are already durably
-        // checkpointed, group 2 dies uncommitted.
+        const pid_t child = fork();
+        ASSERT_GE(child, 0);
+        if (child == 0) {
+          // Child: run with a hook that SIGKILLs the process the moment
+          // group 2 starts — groups 0 and 1 are already durably
+          // checkpointed, group 2 dies uncommitted.
+          jobs::JobConfig job;
+          job.checkpointPath = path;
+          job.groupTraces = 32;
+          job.beforeGroupHook = [](std::uint64_t group, std::uint32_t,
+                                   SimEngine) {
+            if (group == 2) ::raise(SIGKILL);
+          };
+          ExperimentConfig cfg = ecfg;
+          cfg.acquisition.engine = engine;
+          cfg.acquisition.numThreads = threads;
+          try {
+            SboxExperiment victim(style, cfg);
+            (void)victim.resilientAcquireAt(0.0, job);
+          } catch (...) {
+          }
+          ::_exit(3);  // only reached if the SIGKILL never fired
+        }
+
+        int status = 0;
+        ASSERT_EQ(::waitpid(child, &status, 0), child);
+        ASSERT_TRUE(WIFSIGNALED(status))
+            << "child exited with status " << status
+            << " instead of dying by signal";
+        ASSERT_EQ(WTERMSIG(status), SIGKILL);
+
+        // Parent: resume from the orphaned checkpoint (any engine/threads)
+        // and verify bit-identity with the uninterrupted run.
         jobs::JobConfig job;
         job.checkpointPath = path;
         job.groupTraces = 32;
-        job.beforeGroupHook = [](std::uint64_t group, std::uint32_t,
-                                 SimEngine) {
-          if (group == 2) ::raise(SIGKILL);
-        };
         ExperimentConfig cfg = ecfg;
         cfg.acquisition.engine = engine;
         cfg.acquisition.numThreads = threads;
-        try {
-          SboxExperiment victim(SboxStyle::Opt, cfg);
-          (void)victim.resilientAcquireAt(0.0, job);
-        } catch (...) {
-        }
-        ::_exit(3);  // only reached if the SIGKILL never fired
+        SboxExperiment resumer(style, cfg);
+        const jobs::ResilientResult res = resumer.resilientAcquireAt(0.0, job);
+        EXPECT_TRUE(res.resilience.resumed);
+        EXPECT_EQ(res.resilience.groupsCompleted, 4u);
+        EXPECT_EQ(jobs::digestOfTraceSet(res.traces), expected)
+            << (adaptive ? "adaptive" : "fixed") << " engine "
+            << static_cast<int>(engine) << " threads " << threads;
+        std::remove(path.c_str());
       }
-
-      int status = 0;
-      ASSERT_EQ(::waitpid(child, &status, 0), child);
-      ASSERT_TRUE(WIFSIGNALED(status))
-          << "child exited with status " << status
-          << " instead of dying by signal";
-      ASSERT_EQ(WTERMSIG(status), SIGKILL);
-
-      // Parent: resume from the orphaned checkpoint (any engine/threads)
-      // and verify bit-identity with the uninterrupted run.
-      jobs::JobConfig job;
-      job.checkpointPath = path;
-      job.groupTraces = 32;
-      ExperimentConfig cfg = ecfg;
-      cfg.acquisition.engine = engine;
-      cfg.acquisition.numThreads = threads;
-      SboxExperiment resumer(SboxStyle::Opt, cfg);
-      const jobs::ResilientResult res = resumer.resilientAcquireAt(0.0, job);
-      EXPECT_TRUE(res.resilience.resumed);
-      EXPECT_EQ(res.resilience.groupsCompleted, 4u);
-      EXPECT_EQ(jobs::digestOfTraceSet(res.traces), expected)
-          << "engine " << static_cast<int>(engine) << " threads " << threads;
-      std::remove(path.c_str());
     }
   }
 }

@@ -247,39 +247,35 @@ TEST(RunReport, StatisticsBlockRoundTrips) {
   EXPECT_THROW(report.setStatistics(obs::Json(1.0)), std::invalid_argument);
 }
 
-TEST(RunReport, ValidateAcceptsLegacySchemaAndRejectsUnknown) {
+TEST(RunReport, ValidateRejectsEarlierAndUnknownSchemas) {
   obs::Json j = makeReport().toJson();
+  ASSERT_EQ(obs::RunReport::validate(j), "");
 
-  // A /1 document (no statistics block) must still validate.
-  obs::Json legacy = obs::Json::object();
+  // Documents of the earlier eras are rejected by their schema id, with an
+  // error naming the one schema that is accepted: /1 (no statistics
+  // block), /2 (statistics, no resilience block), /3 (resilience, no
+  // profile block) — and an unknown future schema.
+  obs::Json v1 = obs::Json::object();
   for (const char* key : {"name", "git", "timestamp_unix", "seed", "params",
                           "phases", "metrics", "leakage",
                           "determinism_digest"}) {
-    legacy[key] = *j.find(key);
+    v1[key] = *j.find(key);
   }
-  legacy["schema"] = obs::Json(obs::RunReport::legacySchemaId());
-  EXPECT_EQ(obs::RunReport::validate(legacy), "");
-
-  // A /2 document (statistics, no resilience block) must still validate.
-  obs::Json v2 = obs::Json::object();
-  for (const char* key : {"name", "git", "timestamp_unix", "seed", "params",
-                          "phases", "metrics", "leakage", "statistics",
-                          "determinism_digest"}) {
-    v2[key] = *j.find(key);
-  }
-  v2["schema"] = obs::Json(obs::RunReport::schema2Id());
-  EXPECT_EQ(obs::RunReport::validate(v2), "");
-
-  // A /3 document (resilience, no profile block) must still validate.
+  v1["schema"] = obs::Json("lpa-run-report/1");
+  obs::Json v2 = v1;
+  v2["statistics"] = *j.find("statistics");
+  v2["schema"] = obs::Json("lpa-run-report/2");
   obs::Json v3 = v2;
   v3["resilience"] = *j.find("resilience");
-  v3["schema"] = obs::Json(obs::RunReport::previousSchemaId());
-  EXPECT_EQ(obs::RunReport::validate(v3), "");
-
-  // Unknown future schema: rejected.
+  v3["schema"] = obs::Json("lpa-run-report/3");
   obs::Json future = j;
   future["schema"] = obs::Json("lpa-run-report/5");
-  EXPECT_NE(obs::RunReport::validate(future), "");
+  for (const obs::Json* doc : {&v1, &v2, &v3, &future}) {
+    const std::string error = obs::RunReport::validate(*doc);
+    EXPECT_NE(error.find("lpa-run-report/4"), std::string::npos) << error;
+    EXPECT_NE(error.find(doc->find("schema")->asString()), std::string::npos)
+        << error;
+  }
 }
 
 TEST(RunReport, ValidateRejectsMalformedResilience) {

@@ -539,8 +539,6 @@ TEST(Heartbeat, SchemaV2CarriesStopReasonAndLineage) {
   ASSERT_EQ(payloads.size(), 2u);
   const obs::Json running = obs::Json::parse(payloads[0]);
   EXPECT_EQ(running.find("schema")->asString(), "lpa-heartbeat/2");
-  EXPECT_EQ(std::string(obs::Heartbeat::legacySchemaId()),
-            "lpa-heartbeat/1");
   EXPECT_EQ(running.find("status")->asString(), "running");
   EXPECT_EQ(running.find("phase")->asString(), "acquire");
   EXPECT_EQ(running.find("done")->asNumber(), 10.0);

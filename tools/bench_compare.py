@@ -5,7 +5,7 @@ Compares the current benchmark outputs against the checked-in baseline
 (BENCH_baseline.json) and exits non-zero on a regression. Two kinds of
 inputs are understood, auto-detected per file:
 
-  * lpa run reports     ("schema": "lpa-run-report/1" through /4) — written
+  * lpa run reports     ("schema": "lpa-run-report/4") — written
     by the bench binaries with --json (e.g. bench_acquire_scaling).
   * google-benchmark    ({"benchmarks": [...]}) — written by bench_perf
     with --benchmark_out=<file> --benchmark_out_format=json.
@@ -50,8 +50,7 @@ import json
 import sys
 
 BASELINE_SCHEMA = "lpa-bench-baseline/1"
-RUN_REPORT_SCHEMAS = ("lpa-run-report/1", "lpa-run-report/2",
-                      "lpa-run-report/3", "lpa-run-report/4")
+RUN_REPORT_SCHEMA = "lpa-run-report/4"
 
 # Run-report params pinned (must equal the baseline before digests are
 # comparable), contract booleans, ratio params, and throughput params.
@@ -70,7 +69,12 @@ def load_inputs(paths):
     for path in paths:
         with open(path) as f:
             data = json.load(f)
-        if data.get("schema") in RUN_REPORT_SCHEMAS:
+        schema = str(data.get("schema", ""))
+        if schema.startswith("lpa-run-report/") and schema != RUN_REPORT_SCHEMA:
+            sys.exit(f"{path}: run report schema {schema} is not "
+                     f"{RUN_REPORT_SCHEMA}; regenerate it with the current "
+                     "bench binary")
+        if schema == RUN_REPORT_SCHEMA:
             name = data.get("name")
             if not name:
                 sys.exit(f"{path}: run report has no 'name' field; "

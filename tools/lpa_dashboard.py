@@ -36,8 +36,7 @@ import sys
 import lpa_watch  # shared /metrics parser + endpoint fetch (stdlib-only)
 
 LEDGER_SCHEMA = "lpa-run-ledger/1"
-REPORT_SCHEMAS = ("lpa-run-report/1", "lpa-run-report/2",
-                  "lpa-run-report/3", "lpa-run-report/4")
+REPORT_SCHEMA = "lpa-run-report/4"
 
 # Paper ordering of the styles (Fig. 7, most to least leaky) — used for a
 # stable x-axis; styles absent from the matrix are simply skipped.
@@ -71,9 +70,10 @@ def load_ledger(paths):
                       file=sys.stderr)
                 continue
             report = entry.get("report", {})
-            if report.get("schema") not in REPORT_SCHEMAS:
+            if report.get("schema") != REPORT_SCHEMA:
                 print(f"warning: {path}:{ln}: unknown report schema "
-                      f"{report.get('schema')!r}; skipped", file=sys.stderr)
+                      f"{report.get('schema')!r} (only {REPORT_SCHEMA} is "
+                      "read); skipped", file=sys.stderr)
                 continue
             reports.append(report)
     return reports
@@ -295,9 +295,9 @@ def perf_section(reports):
 # ----------------------------------------------------------------- live mode
 
 def live_status_block(hb):
-    """HTML for one heartbeat dict (lpa-heartbeat/1 or /2)."""
+    """HTML for one heartbeat dict (lpa-heartbeat/2)."""
     schema = hb.get("schema")
-    warn = ("" if schema in lpa_watch.HEARTBEAT_SCHEMAS else
+    warn = ("" if schema == lpa_watch.HEARTBEAT_SCHEMA else
             f'<p class="meta">unrecognized heartbeat schema {esc(schema)}</p>')
     done = hb.get("done", 0) or 0
     total = hb.get("total", 0) or 0

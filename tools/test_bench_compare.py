@@ -23,7 +23,7 @@ import bench_compare  # noqa: E402
 
 def report(params, name="bench_acquire_scaling", digest="abc123"):
     return {
-        "schema": "lpa-run-report/2",
+        "schema": "lpa-run-report/4",
         "name": name,
         "determinism_digest": digest,
         "params": params,
@@ -189,21 +189,21 @@ class LoadInputs(unittest.TestCase):
         finally:
             os.unlink(path)
 
-    def test_schema3_report_with_resilience_block_loads(self):
-        # Reports from the durable-acquisition era (lpa-run-report/3 with a
-        # resilience block) must flow through the gate like /2 reports.
-        r3 = report(FULL_PARAMS)
-        r3["schema"] = "lpa-run-report/3"
-        r3["resilience"] = {"truncated": False, "resumed": True,
-                            "stop_reason": "completed"}
-        with tempfile.TemporaryDirectory() as d:
-            path = os.path.join(d, "r3.json")
-            with open(path, "w") as f:
-                json.dump(r3, f)
-            reports, _ = bench_compare.load_inputs([path])
-        self.assertIn("bench_acquire_scaling", reports)
-        gate, _ = run(baseline_for(FULL_PARAMS), FULL_PARAMS)
-        self.assertEqual(gate.failures, [])
+    def test_earlier_report_schemas_are_rejected(self):
+        # Reports of the earlier eras (/1 to /3) fail loudly, naming the
+        # schema the gate reads, instead of being gated on missing blocks.
+        for schema in ("lpa-run-report/1", "lpa-run-report/2",
+                       "lpa-run-report/3"):
+            old = report(FULL_PARAMS)
+            old["schema"] = schema
+            with tempfile.TemporaryDirectory() as d:
+                path = os.path.join(d, "old.json")
+                with open(path, "w") as f:
+                    json.dump(old, f)
+                with self.assertRaises(SystemExit) as ctx:
+                    bench_compare.load_inputs([path])
+            self.assertIn("lpa-run-report/4", str(ctx.exception), schema)
+            self.assertIn(schema, str(ctx.exception))
 
     def test_gbench_and_report_split(self):
         gb = {"benchmarks": [

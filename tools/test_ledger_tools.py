@@ -39,20 +39,18 @@ def fig7_report(schema="lpa-run-report/4"):
                 {"style": "GLUT", "months": 0.0, "total": 20.0},
             ],
         },
-    }
-    if schema in ("lpa-run-report/3", "lpa-run-report/4"):
-        report["resilience"] = {
+        "resilience": {
             "truncated": False,
             "resumed": True,
             "stop_reason": "completed",
-        }
-    if schema == "lpa-run-report/4":
-        report["profile"] = {
+        },
+        "profile": {
             "schema": "lpa-profile/1",
             "runs": 32,
             "lane_occupancy": {"waves": 100, "mean_popped": 6.5,
                                "mean_committed": 0.7},
-        }
+        },
+    }
     return report
 
 
@@ -100,18 +98,20 @@ class TornLedgerTail(unittest.TestCase):
 
 
 class SchemaEras(unittest.TestCase):
-    def test_both_readers_accept_every_schema_era(self):
+    def test_both_readers_reject_earlier_schema_eras(self):
         for schema in ("lpa-run-report/1", "lpa-run-report/2",
-                       "lpa-run-report/3", "lpa-run-report/4"):
+                       "lpa-run-report/3"):
             with tempfile.TemporaryDirectory() as d:
                 path = os.path.join(d, "ledger.jsonl")
                 with open(path, "w") as f:
                     f.write(ledger_line(fig7_report(schema)) + "\n")
-                with redirect_stderr(io.StringIO()):
+                with redirect_stderr(io.StringIO()) as err:
                     reports = lpa_dashboard.load_ledger([path])
-                    gate_report = leakage_gate.load_matrix_report(path)
-            self.assertEqual(len(reports), 1, schema)
-            self.assertEqual(gate_report["schema"], schema)
+                    with self.assertRaises(SystemExit) as ctx:
+                        leakage_gate.load_matrix_report(path)
+            self.assertEqual(reports, [], schema)
+            self.assertIn("lpa-run-report/4", err.getvalue())
+            self.assertIn("lpa-run-report/4", str(ctx.exception))
 
     def test_unknown_schema_is_skipped_with_warning(self):
         with tempfile.TemporaryDirectory() as d:

@@ -111,13 +111,14 @@ class Renderers(unittest.TestCase):
         self.assertIn("abc123", text)
         self.assertIn("512/1024 (50.0%)", text)
 
-    def test_render_status_v1_accepted_without_warning(self):
+    def test_render_status_v1_is_flagged(self):
         hb = {"schema": "lpa-heartbeat/1", "name": "run", "pid": 7,
               "status": "running", "phase": "acquire", "done": 1,
               "total": 4, "rate_per_sec": 1.0, "eta_sec": 3.0,
               "elapsed_sec": 1.0}
         text = "\n".join(lpa_watch.render_status(hb))
-        self.assertNotIn("unrecognized", text)
+        self.assertIn("unrecognized", text)
+        self.assertIn("lpa-heartbeat/2", text)
         self.assertIn("running", text)
 
     def test_render_status_unknown_schema_warns(self):
