@@ -19,6 +19,10 @@
 // windows (stats/adaptive.h), one thread each; the kept traces must be
 // bit-identical, and adaptive_window_speedup is gated.
 //
+// An engine-reuse section runs the Fig. 7 matrix from an empty batch
+// engine free list and reports engine_reuse_ratio (worker slots served /
+// engines built), which is gated as a floor.
+//
 // A stress-profiling A/B times SboxExperiment::stressProfile() (lane
 // groups on the batch engine) against the sequential reference EventSim
 // chain it replaced (bench/stress_reference.h), one thread each, and
@@ -58,6 +62,7 @@
 #include <unistd.h>
 
 #include "bench_util.h"
+#include "sim/batch_sim.h"
 #include "stress_reference.h"
 
 namespace {
@@ -452,6 +457,37 @@ int main(int argc, char** argv) {
       stressIdentical ? "yes" : "NO");
   report.setParam("stress_speedup", stressSpeedup);
   report.setParam("stress_bit_identical", obs::Json(stressIdentical));
+
+  // Engine reuse: the Fig. 7 matrix (7 styles x 5 ages at 1024 traces,
+  // each style's stress profile included) from an empty engine free list
+  // (sim/batch_sim.h). engine_reuse_ratio = worker slots served / batch
+  // engines built; it is 1 when every call builds its own engines and is
+  // gated as a floor.
+  std::printf("\nengine reuse (Fig. 7 matrix: 7 styles x 5 ages, 1024 "
+              "traces, hw threads):\n");
+  {
+    obs::PhaseTimer phase(report, "engine_reuse");
+    ExperimentConfig mcfg;
+    mcfg.acquisition.tracesPerClass = 64;
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+    const obs::Counter built = reg.counter("sim.batch.engines_built");
+    const obs::Counter slots = reg.counter("sim.batch.engine_slots");
+    BatchEngineLease::dropParked();
+    const std::uint64_t built0 = built.value();
+    const std::uint64_t slots0 = slots.value();
+    for (SboxStyle style : allSboxStyles()) {
+      SboxExperiment exp(style, mcfg);
+      for (double months : {0.0, 12.0, 24.0, 36.0, 48.0}) {
+        (void)exp.acquireAt(months);
+      }
+    }
+    const double builtN = static_cast<double>(built.value() - built0);
+    const double slotsN = static_cast<double>(slots.value() - slots0);
+    const double reuse = builtN > 0.0 ? slotsN / builtN : 0.0;
+    std::printf("  %.0f worker slots served by %.0f engines (%.1fx reuse)\n",
+                slotsN, builtN, reuse);
+    report.setParam("engine_reuse_ratio", reuse);
+  }
 
   // Profiler A/B (only under --profile): same batch acquisition with the
   // cost-attribution profiler attached vs detached. Pure-sink contract:

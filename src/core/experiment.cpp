@@ -41,17 +41,19 @@ const StressProfile& SboxExperiment::stressProfile() {
       x = sbox_->encode(rng.nibble(), rng);
     }
     const CompiledDesign design(sbox_->netlist(), delays_, power_);
-    BatchSim proto(design, cfg_.sim);
-    if (cfg_.observe) proto.attachMetrics(&obs::MetricsRegistry::global());
     const std::size_t numGroups =
         (cycles + BatchSim::kLanes - 1) / BatchSim::kLanes;
     const std::uint32_t threads =
         resolveWorkerThreads(cfg_.acquisition.numThreads, numGroups);
+    BatchEngineLease engines(
+        design, cfg_.sim, threads,
+        cfg_.observe ? &obs::MetricsRegistry::global() : nullptr, nullptr);
     std::vector<StressAccumulator> tallies(threads,
                                            StressAccumulator(numGates));
-    detail::shardedForEachClone(
-        proto, numGroups, threads,
-        [&](BatchSim& sim, std::uint32_t w, std::size_t g) {
+    detail::shardedFor(
+        numGroups, threads,
+        [&](std::uint32_t w, std::size_t g) {
+          BatchSim& sim = engines[w];
           const auto first = stimuli.begin() + g * BatchSim::kLanes;
           const std::size_t lanes = std::min<std::size_t>(
               BatchSim::kLanes, cycles - g * BatchSim::kLanes);

@@ -64,7 +64,8 @@ class SboxExperiment {
   const ExperimentConfig& config() const { return cfg_; }
 
   /// Field-stress profile (random operation), computed once and cached.
-  /// Runs on the batch engine and the acquisition worker pool, but is not
+  /// Runs on batch engines from the shared free list (one per worker slot,
+  /// sim/batch_sim.h) and the acquisition worker pool, but is not
   /// an acquisition: its spans are "stress.profile ...", its simulator
   /// counters land in sim.batch.*, and acquire.* is left untouched.
   const StressProfile& stressProfile();
@@ -108,8 +109,8 @@ class SboxExperiment {
   AgingFactors agingFactorsAt(double months);
 
   /// Attaches a cost-attribution profiler (obs/profiler.h) to every layer
-  /// this experiment drives: the acquisition config (served engine + its
-  /// worker clones), the prototype EventSim, and the power model's
+  /// this experiment drives: the acquisition config (every worker's
+  /// engine), the prototype EventSim, and the power model's
   /// reference sampling path. nullptr detaches from the layers this call
   /// previously attached. Pure sink — acquireAt/analyzeAt results are
   /// bit-identical with or without (tests/test_profiler.cpp).

@@ -164,7 +164,7 @@ std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
 
 /// Runs the durable acquisition described above. Honors cfg.adaptive
 /// (convergence-gated groups), cfg.deadlineMs and cfg.trapBudget; `sim`
-/// is the per-worker clone prototype exactly as in acquire(). Throws
+/// supplies the workers' engines exactly as in acquire(). Throws
 /// WorkerError on retry-budget exhaustion and obs::ProgressAborted on a
 /// user abort; a deadline or drain stop returns normally with
 /// resilience.truncated set.

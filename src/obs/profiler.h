@@ -26,7 +26,7 @@
 // the default period.
 //
 // Threading: the shared arrays are plain relaxed atomics, so any number
-// of worker clones may flush into one Profiler concurrently. Sizing
+// of worker engines may flush into one Profiler concurrently. Sizing
 // (ensureNets / noteNetLabel / configureTimeline) happens at attach time
 // and must not race in-flight runs — attach before spawning workers, the
 // same rule attachMetrics follows.

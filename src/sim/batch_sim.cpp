@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 
 #include "obs/profiler.h"
@@ -74,11 +75,19 @@ inline unsigned popcount64(std::uint64_t w) {
 
 BatchSim::BatchSim(const CompiledDesign& design, const SimOptions& options)
     : design_(&design), opts_(options) {
+  bind(design, options);
+}
+
+void BatchSim::bind(const CompiledDesign& design, const SimOptions& options) {
   if (design.numGates >= (1u << 24)) {
     throw std::invalid_argument(
         "BatchSim: design exceeds the packed-event net capacity (2^24 "
         "gates); use the reference EventSim engine");
   }
+  design_ = &design;
+  opts_ = options;
+  park();
+
   // Calendar tuning from the lowering: bucket width tracks the smallest
   // gate delay (so consecutive wavefronts usually land in distinct
   // buckets) and the bucket array is pre-sized to the worst-case combina-
@@ -95,38 +104,58 @@ BatchSim::BatchSim(const CompiledDesign& design, const SimOptions& options)
   buckets_.resize(horizonBuckets);
   bucketHead_.assign(horizonBuckets, 0);
   bucketSorted_.assign(horizonBuckets, 0);
-
-  const std::size_t n = design.numGates;
-  stateW_.assign(n, 0);
-  pendMask_.assign(n, 0);
-  pendValueW_.assign(n, 0);
-  pendPushId_.assign(n * kLanes, 0);
-  lastCommitPs_.assign(n * kLanes, 0.0);
-  commitLanes_.assign(n, CommitLanes{0, 0});
-  inputWords_.assign(design.inputNets.size(), 0);
-}
-
-BatchSim BatchSim::clone() const {
-  // Shares the design tables and the metrics attachment (same registry
-  // cells), starts from fresh dynamic state and zeroed lane stats.
-  BatchSim copy = *this;
-  copy.reset();
-  copy.spareBuckets_.clear();  // copies of empty vectors carry no capacity
-  return copy;
-}
-
-void BatchSim::reset() {
-  std::fill(stateW_.begin(), stateW_.end(), 0);
-  std::fill(pendMask_.begin(), pendMask_.end(), 0);
-  // The commit times need no fill: a slot is valid only where its net's
-  // CommitLanes epoch matches runEpoch_, which is bumped at every run.
-  scrubQueue();
+  dirtyBuckets_.clear();
+  bucketCursor_ = 0;
+  eventsInQueue_ = 0;
   pushCounter_ = 0;
+
+  // Per-net arenas: kept at the same gate count, else exactly resized.
+  // Only the state words, pending masks and commit epochs need zeroing;
+  // pending values, pending ids and commit times are read only under a
+  // pending bit or a current-epoch commit record.
+  const std::size_t n = design.numGates;
+  const std::size_t pendIds =
+      opts_.kind == DelayKind::Inertial ? n * kLanes : 0;
+  if (stateW_.size() != n) {
+    stateW_ = std::vector<std::uint64_t>(n);
+    pendMask_ = std::vector<std::uint64_t>(n);
+    pendValueW_ = std::vector<std::uint64_t>(n);
+    lastCommitPs_ = std::vector<double>(n * kLanes);
+    commitLanes_ = std::vector<CommitLanes>(n, CommitLanes{0, 0});
+  } else {
+    std::fill(stateW_.begin(), stateW_.end(), 0);
+    std::fill(pendMask_.begin(), pendMask_.end(), 0);
+    std::fill(commitLanes_.begin(), commitLanes_.end(), CommitLanes{0, 0});
+  }
+  if (pendPushId_.size() != pendIds) {
+    pendPushId_ = std::vector<std::uint64_t>(pendIds);
+  }
+  runEpoch_ = 0;
+  inputWords_.assign(design.inputNets.size(), 0);
+
   activeLanes_ = 0;
   activeMask_ = 0;
   divergedLane_ = -1;
-  for (auto& log : laneLog_) log.clear();
+  fastTallies_ = false;
   laneStats_.fill(SimStats{});
+  profPoppedBins_.fill(0);
+  profCommittedBins_.fill(0);
+  profWaves_ = 0;
+  profTlPops_.fill(0);
+  profTlDepthSum_.fill(0);
+  profTlDepthMax_.fill(0);
+}
+
+void BatchSim::park() {
+  attachMetrics(nullptr);
+  attachProfiler(nullptr);
+  // Bucket storage and transition logs are what the runs of one call
+  // grew; the next call regrows what it needs. (Move-assigning empty
+  // vectors frees the storage; `= {}` would keep the capacity.)
+  buckets_ = std::vector<std::vector<QueueEvent>>();
+  spareBuckets_ = std::vector<std::vector<QueueEvent>>();
+  dirtyBuckets_.clear();
+  for (auto& log : laneLog_) log = std::vector<Transition>();
 }
 
 void BatchSim::scrubQueue() {
@@ -166,7 +195,7 @@ void BatchSim::attachProfiler(obs::Profiler* profiler) {
   profRunCounter_ = 0;  // fresh attach: the next run is a profiled sample
   profThisRun_ = false;
   if (!profiler) {
-    profTally_ = {};
+    profTally_ = std::vector<ProfNetTally>();
     return;
   }
   const CompiledDesign& d = *design_;
@@ -856,6 +885,73 @@ void BatchSim::runFused(
   }
   metrics_.tracesSampled.add(activeLanes_);
   metrics_.pulsesDeposited.add(deposited);
+}
+
+namespace {
+
+/// The process-wide free list behind BatchEngineLease.
+struct EngineFreeList {
+  std::mutex mu;
+  std::vector<std::unique_ptr<BatchSim>> parked;
+  std::size_t capacity = 0;  ///< most slots any one lease has held
+};
+
+EngineFreeList& engineFreeList() {
+  static EngineFreeList list;
+  return list;
+}
+
+}  // namespace
+
+BatchEngineLease::BatchEngineLease(const CompiledDesign& design,
+                                   const SimOptions& options,
+                                   std::uint32_t slots,
+                                   obs::MetricsRegistry* registry,
+                                   obs::Profiler* profiler) {
+  engines_.reserve(slots);
+  {
+    EngineFreeList& list = engineFreeList();
+    std::lock_guard<std::mutex> lk(list.mu);
+    list.capacity = std::max<std::size_t>(list.capacity, slots);
+    while (engines_.size() < slots && !list.parked.empty()) {
+      engines_.push_back(std::move(list.parked.back()));
+      list.parked.pop_back();
+    }
+  }
+  const std::size_t reused = engines_.size();
+  for (std::size_t i = 0; i < reused; ++i) engines_[i]->bind(design, options);
+  while (engines_.size() < slots) {
+    engines_.push_back(std::make_unique<BatchSim>(design, options));
+  }
+  for (const auto& engine : engines_) {
+    engine->attachMetrics(registry);
+    engine->attachProfiler(profiler);
+  }
+  if (registry) {
+    registry->counter("sim.batch.engines_built").add(slots - reused);
+    registry->counter("sim.batch.engine_slots").add(slots);
+  }
+}
+
+BatchEngineLease::~BatchEngineLease() {
+  for (const auto& engine : engines_) engine->park();
+  EngineFreeList& list = engineFreeList();
+  std::lock_guard<std::mutex> lk(list.mu);
+  for (auto& engine : engines_) {
+    if (list.parked.size() >= list.capacity) break;
+    list.parked.push_back(std::move(engine));
+  }
+}
+
+std::size_t BatchEngineLease::dropParked() {
+  std::vector<std::unique_ptr<BatchSim>> dropped;
+  {
+    EngineFreeList& list = engineFreeList();
+    std::lock_guard<std::mutex> lk(list.mu);
+    dropped.swap(list.parked);
+    list.capacity = 0;
+  }
+  return dropped.size();
 }
 
 }  // namespace lpa

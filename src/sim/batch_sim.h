@@ -69,6 +69,18 @@
 // tests/test_batch_sim.cpp and the differential fuzzer
 // (tests/test_engine_fuzz.cpp) enforce the contract.
 //
+// ## Engine reuse
+//
+// Engines outlive the call that used them. Acquisition and stress
+// profiling take one engine per worker slot from a process-wide free list
+// (BatchEngineLease below) and bind() each to the call's CompiledDesign;
+// a bound engine is indistinguishable from a freshly constructed one
+// (tests/test_batch_sim.cpp, tests/test_engine_lease.cpp). The per-net
+// arenas survive a bind to a design of the same gate count, so a call
+// costs no engine construction, copy or teardown; the calendar buckets
+// and transition logs one call grew are given back when it parks the
+// engines.
+//
 // ## Eligibility
 //
 // Design-level eligibility: no fault overlay, a matching power model and
@@ -80,6 +92,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -93,21 +106,22 @@ class BatchSim {
   /// Lane capacity of one batch: the word width of the packed net values.
   static constexpr std::uint32_t kLanes = 64;
 
-  /// `design` must outlive the sim and stay unmodified while any clone is
-  /// running (it is read-only during simulation, so concurrent clones are
-  /// safe — the EventSim sharing contract). Throws
-  /// std::invalid_argument for designs beyond the packed-event net
-  /// capacity (2^24 gates; see "Eligibility").
+  /// `design` must outlive the sim (or its next bind()) and stay
+  /// unmodified while the sim runs (it is read-only during simulation, so
+  /// engines bound to one design may run concurrently — the EventSim
+  /// sharing contract). Throws std::invalid_argument for designs beyond
+  /// the packed-event net capacity (2^24 gates; see "Eligibility").
   BatchSim(const CompiledDesign& design, const SimOptions& options);
 
-  /// Cheap copy for worker pools: shares the design tables and the metrics
-  /// attachment, starts from fresh dynamic state and zeroed stats.
-  BatchSim clone() const;
-
-  /// Clears dynamic state as if freshly constructed (arenas keep their
-  /// capacity — reset does not give memory back; calendar bucket storage
-  /// goes to the spare list and is reused by later runs).
-  void reset();
+  /// Re-targets this engine at `design` under `options`: afterwards it is
+  /// indistinguishable from BatchSim(design, options) — dynamic state,
+  /// calendar cursor, lane stats and commit epochs reset, metrics and
+  /// profiler detached — whatever it ran before, a SimDiverged throw
+  /// included. The per-net arenas are kept when the gate count matches and
+  /// reallocated to exactly the new size otherwise; what earlier runs grew
+  /// (transition logs, calendar bucket storage) is given back. Same
+  /// capacity check as the constructor.
+  void bind(const CompiledDesign& design, const SimOptions& options);
 
   /// Establishes a steady state: lane l settles on laneInputs[l]
   /// (inputs() order). 1..kLanes lanes; sets activeLanes() for the
@@ -124,7 +138,7 @@ class BatchSim {
   /// committed pulse straight onto each lane's sample grid, then adds
   /// per-lane measurement noise (noiseSeeds[l], the PowerModel::sample
   /// convention). Lane traces are read via laneTrace() and stay valid
-  /// until the next run/runFused/reset on this instance.
+  /// until the next run/runFused/bind on this instance.
   void runFused(const std::vector<std::vector<std::uint8_t>>& laneInputs,
                 const std::vector<std::uint64_t>& noiseSeeds);
 
@@ -162,23 +176,28 @@ class BatchSim {
   int divergedLane() const { return divergedLane_; }
 
   /// Routes "sim.batch.*" and the shared "power.*" instruments into
-  /// `registry` (nullptr detaches). Clones inherit the attachment; the
-  /// zero-perturbation contract of obs/metrics.h applies.
+  /// `registry` (nullptr detaches). The zero-perturbation contract of
+  /// obs/metrics.h applies.
   void attachMetrics(obs::MetricsRegistry* registry);
 
   /// Attaches a cost-attribution profiler (obs/profiler.h): per-net lane-
   /// summed tallies, lane-occupancy histograms (popped/committed lanes per
   /// wave, 0-commit waves included), the calendar-depth timeline bucketed
   /// by sim-time window, fused-pulse attribution, and arena byte samples
-  /// flow into it, one flush per run. nullptr detaches; clones inherit the
-  /// attachment. Pure sink — bit-identical attached or detached
-  /// (tests/test_profiler.cpp).
+  /// flow into it, one flush per run. nullptr detaches. Pure sink —
+  /// bit-identical attached or detached (tests/test_profiler.cpp).
   void attachProfiler(obs::Profiler* profiler);
 
   const CompiledDesign& design() const { return *design_; }
   const SimOptions& options() const { return opts_; }
 
  private:
+  friend class BatchEngineLease;
+
+  /// Detaches metrics and profiler and gives back what the runs grew
+  /// (transition logs, calendar bucket storage), keeping the per-net
+  /// arenas: the state an engine is parked in on the free list.
+  void park();
   /// Packed 32-byte wave. `timeBits` is the raw IEEE-754 pattern of the
   /// (non-negative) arrival time — unsigned pattern comparison equals
   /// numeric comparison — and `key` packs (pushId << 25) | (net << 1) with
@@ -211,7 +230,7 @@ class BatchSim {
   /// bucket is open-ended, which bounds memory on pathological horizons
   /// without changing the order. Exhausted buckets are scrubbed as the
   /// cursor leaves them, so a completed run leaves the calendar clean; the
-  /// dirty list covers the exceptional exits (reset, divergence throw).
+  /// dirty list covers the exceptional exits (bind, divergence throw).
   /// Scrubbing recycles storage: a scrubbed bucket's vector, capacity
   /// included, goes to a spare list, and a bucket's first push takes its
   /// storage from there. So the calendar holds roughly the capacity of the
@@ -281,7 +300,9 @@ class BatchSim {
   std::vector<std::uint64_t> stateW_;
   std::vector<std::uint64_t> pendMask_;    ///< per net: lanes with a pending
   std::vector<std::uint64_t> pendValueW_;  ///< per net: pending lane values
-  std::vector<std::uint64_t> pendPushId_;  ///< per (net, lane): pending id
+  /// Per (net, lane): pending push id. Inertial delay only — transport
+  /// never reads it, so a transport-bound engine holds none.
+  std::vector<std::uint64_t> pendPushId_;
   /// Commit-time layout: the time of each (net, lane)'s previous commit in
   /// the current run is an 8-byte slot of lastCommitPs_ (numGates x 64),
   /// valid only for the lanes in its net's CommitLanes record, and only
@@ -374,6 +395,42 @@ class BatchSim {
   std::array<std::uint64_t, 64> profTlPops_{};  // kTimelineWindows
   std::array<std::uint64_t, 64> profTlDepthSum_{};
   std::array<std::uint64_t, 64> profTlDepthMax_{};
+};
+
+/// The batch engines of one call's worker slots, taken from a process-wide
+/// free list. The constructor takes one engine per slot from the list
+/// (building one only when the list has none left), binds each to
+/// `design` under `options` and attaches `registry` and `profiler`; the
+/// destructor parks them — detached, their growth given back — on the list
+/// again, also when the call unwinds from a throw. Concurrent leases take
+/// distinct engines, so no call waits for another one to finish. The list
+/// keeps at most as many engines as the most worker slots any one lease
+/// has held; surplus engines are destroyed on return.
+///
+/// `design` must outlive the lease. Engines count into "sim.batch.*":
+/// engines_built (constructed because the list ran dry) and engine_slots
+/// (slots served), so slots / built is the reuse factor.
+class BatchEngineLease {
+ public:
+  BatchEngineLease(const CompiledDesign& design, const SimOptions& options,
+                   std::uint32_t slots, obs::MetricsRegistry* registry,
+                   obs::Profiler* profiler);
+  ~BatchEngineLease();
+  BatchEngineLease(const BatchEngineLease&) = delete;
+  BatchEngineLease& operator=(const BatchEngineLease&) = delete;
+
+  /// The engine of worker slot `slot` (< slots).
+  BatchSim& operator[](std::uint32_t slot) { return *engines_[slot]; }
+
+  /// Destroys every engine parked on the free list and forgets the slot
+  /// high-water mark (engines held by live leases are untouched; they are
+  /// parked on return up to the mark the leases after this call set).
+  /// Returns how many engines were destroyed. For callers that want the
+  /// memory back, and for measurements that must start from an empty list.
+  static std::size_t dropParked();
+
+ private:
+  std::vector<std::unique_ptr<BatchSim>> engines_;
 };
 
 }  // namespace lpa

@@ -33,8 +33,8 @@
 //     the energy scalar.
 //
 // A CompiledDesign is immutable while simulations run and is shared by
-// reference among all BatchSim clones of a worker pool (same contract as
-// Netlist/DelayModel sharing in EventSim::clone).
+// reference among all the BatchSim engines a call binds to it (same
+// contract as Netlist/DelayModel sharing in EventSim::clone).
 
 #include <cstdint>
 #include <vector>

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "crypto/present.h"
@@ -121,11 +120,51 @@ std::vector<Stimuli> pack(Stimuli& all, std::size_t width) {
   const std::size_t n = all.traces.size();
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t(0));
-  if (width > 1) {
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return std::tie(all.inits[a], all.fins[a], a) <
-             std::tie(all.inits[b], all.fins[b], b);
-    });
+  if (width > 1 && n > 1) {
+    // Sort keys: the bit string (initial encoding, final encoding, index)
+    // — encodings one 0/1 value per input, the index fixed-width — packed
+    // MSB-first into 64-bit words, so comparing keys word by word is the
+    // (initial, final, index) tuple order. Most designs fit one word, and
+    // then the keys sort as plain integers.
+    std::size_t indexBits = 1;
+    while ((n - 1) >> indexBits) ++indexBits;
+    const std::size_t bits =
+        all.inits[0].size() + all.fins[0].size() + indexBits;
+    const std::size_t stride = (bits + 63) / 64;
+    std::vector<std::uint64_t> keys(n * stride, 0);
+    for (std::size_t k = 0; k < n; ++k) {
+      std::uint64_t* key = &keys[k * stride];
+      std::uint64_t word = 0;
+      unsigned filled = 0;
+      const auto put = [&](std::uint64_t bit) {
+        word = (word << 1) | bit;
+        if (++filled == 64) {
+          *key++ = word;
+          word = 0;
+          filled = 0;
+        }
+      };
+      for (std::uint8_t b : all.inits[k]) put(b & 1u);
+      for (std::uint8_t b : all.fins[k]) put(b & 1u);
+      for (std::size_t i = indexBits; i-- > 0;) put((k >> i) & 1u);
+      if (filled != 0) *key = word << (64 - filled);
+    }
+    if (stride == 1) {
+      std::sort(keys.begin(), keys.end());
+      const std::uint64_t indexMask =
+          (std::uint64_t(2) << (indexBits - 1)) - 1;
+      for (std::size_t k = 0; k < n; ++k) {
+        order[k] = static_cast<std::size_t>((keys[k] >> (64 - bits)) &
+                                            indexMask);
+      }
+    } else {
+      std::sort(order.begin(), order.end(),
+                [&](std::size_t a, std::size_t b) {
+                  return std::lexicographical_compare(
+                      &keys[a * stride], &keys[(a + 1) * stride],
+                      &keys[b * stride], &keys[(b + 1) * stride]);
+                });
+    }
   }
   std::vector<Stimuli> groups((n + width - 1) / width);
   for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -199,65 +238,78 @@ void run(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
            std::to_string(static_cast<int>(all.labels[i - plan.begin])) +
            ", style " + std::string(sbox.name()) + ")";
   };
-  const auto runGroups = [&](auto& proto, const auto& simulate) {
-    detail::shardedForEachClone(
-        proto, numGroups, threads,
-        [&](auto& worker, std::uint32_t, std::size_t g) {
-          const Stimuli& group = groups[g];
-          if (!failure.below(group.traces.front())) return;
-          int failedLane = -1;
-          // Functional sanity: the netlist must produce the right unmasked
-          // value. A lane that passes writes its trace to its schedule slot.
-          const auto store = [&](std::size_t l,
-                                 const std::vector<std::uint8_t>& outputs,
-                                 const double* samples) {
-            if (sbox.decode(outputs, group.fins[l]) != group.expected[l]) {
-              failedLane = static_cast<int>(l);
-              throw std::logic_error("acquisition: decode mismatch");
-            }
-            out.set(outBase + (group.traces[l] - plan.begin),
-                    group.labels[l], samples);
-          };
-          try {
-            simulate(worker, group, store);
-          } catch (...) {
-            if (failedLane < 0) failedLane = groupFailureLane(worker);
-            failure.record(group.traces[static_cast<std::size_t>(failedLane)],
-                           std::current_exception());
-            return;
-          }
-          if (group.traces.size() > 1) meter.step(group.traces.size() - 1);
-        },
-        [&](std::size_t g) { return describe(groups[g].traces.front()); },
-        &meter, plan.spanLabel);
+  // Simulates group g on `worker` and writes its traces; a failure is
+  // recorded against its trace, never thrown into the pool.
+  const auto runGroup = [&](auto& worker, std::size_t g,
+                            const auto& simulate) {
+    const Stimuli& group = groups[g];
+    if (!failure.below(group.traces.front())) return;
+    int failedLane = -1;
+    // Functional sanity: the netlist must produce the right unmasked
+    // value. A lane that passes writes its trace to its schedule slot.
+    const auto store = [&](std::size_t l,
+                           const std::vector<std::uint8_t>& outputs,
+                           const double* samples) {
+      if (sbox.decode(outputs, group.fins[l]) != group.expected[l]) {
+        failedLane = static_cast<int>(l);
+        throw std::logic_error("acquisition: decode mismatch");
+      }
+      out.set(outBase + (group.traces[l] - plan.begin), group.labels[l],
+              samples);
+    };
+    try {
+      simulate(worker, group, store);
+    } catch (...) {
+      if (failedLane < 0) failedLane = groupFailureLane(worker);
+      failure.record(group.traces[static_cast<std::size_t>(failedLane)],
+                     std::current_exception());
+      return;
+    }
+    if (group.traces.size() > 1) meter.step(group.traces.size() - 1);
+  };
+  const auto describeGroup = [&](std::size_t g) {
+    return describe(groups[g].traces.front());
   };
 
   try {
     if (batch) {
+      // One engine per worker slot from the free list, re-targeted at this
+      // call's lowering and parked again when the block exits.
       const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
-      BatchSim bsim(design, sim.options());
-      bsim.attachMetrics(sim.metricsRegistry());
-      bsim.attachProfiler(plan.profiler);
-      runGroups(bsim, [&](BatchSim& worker, const Stimuli& group,
-                          const auto& store) {
+      BatchEngineLease engines(design, sim.options(), threads,
+                               sim.metricsRegistry(), plan.profiler);
+      const auto simulate = [](BatchSim& worker, const Stimuli& group,
+                               const auto& store) {
         worker.settle(group.inits);
         worker.runFused(group.fins, group.noiseSeeds);
         for (std::uint32_t l = 0; l < group.traces.size(); ++l) {
           store(l, worker.outputValues(l), worker.laneTrace(l));
         }
-      });
+      };
+      detail::shardedFor(
+          numGroups, threads,
+          [&](std::uint32_t w, std::size_t g) {
+            runGroup(engines[w], g, simulate);
+          },
+          describeGroup, &meter, plan.spanLabel);
     } else {
       // Workers clone `sim`, so attaching here propagates to every worker.
       // Only attach when requested — a null re-attach would clobber an
       // attachment the caller installed on the prototype.
       if (plan.profiler != nullptr) sim.attachProfiler(plan.profiler);
-      runGroups(sim, [&](EventSim& worker, const Stimuli& group,
-                         const auto& store) {
+      const auto simulate = [&](EventSim& worker, const Stimuli& group,
+                                const auto& store) {
         worker.settle(group.inits[0]);
         const std::vector<Transition> transitions = worker.run(group.fins[0]);
         store(0, worker.outputValues(),
               power.sample(transitions, group.noiseSeeds[0]).data());
-      });
+      };
+      detail::shardedForEachClone(
+          sim, numGroups, threads,
+          [&](EventSim& worker, std::uint32_t, std::size_t g) {
+            runGroup(worker, g, simulate);
+          },
+          describeGroup, &meter, plan.spanLabel);
     }
   } catch (const obs::ProgressAborted&) {
     failure.rethrowIfAny(describe);  // a trace failure outranks an abort

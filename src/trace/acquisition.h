@@ -38,11 +38,14 @@
 // event waves. Packing depends only on the call's stimuli, and it is
 // invisible in the result: every lane is bit-identical to its own scalar
 // run whichever lanes share its group. On the reference engine an item is
-// one trace. Worker 0 runs on the prototype simulator and every other
-// worker on a clone of it (sharing the netlist and the DelayModel, so
-// per-instance process jitter is shared, not re-rolled); workers claim
-// items from the pool's shared cursor (trace/sharded_pool.h) and write
-// every trace straight into its schedule slot of one pre-sized TraceSet.
+// one trace. On the batch engine each worker slot runs on an engine taken
+// from the process-wide free list (BatchEngineLease, sim/batch_sim.h) and
+// re-bound to the call's lowering of `sim`'s netlist and DelayModel; on
+// the reference engine worker 0 runs on `sim` itself and every other
+// worker on a clone of it. Either way every worker simulates the same
+// device (process jitter is shared, not re-rolled). Workers claim items
+// from the pool's shared cursor (trace/sharded_pool.h) and write every
+// trace straight into its schedule slot of one pre-sized TraceSet.
 //
 // ## Failure semantics
 //
@@ -113,8 +116,8 @@ struct AcquisitionConfig {
   /// SimEngine).
   SimEngine engine = SimEngine::Auto;
   /// Optional cost-attribution profiler (obs/profiler.h): the engine
-  /// serving the run (including an internally constructed batch engine
-  /// and its worker clones) attaches to it and flushes per-run
+  /// serving the run (every worker's batch engine, or the reference
+  /// simulator and its worker clones) attaches to it and flushes per-run
   /// tallies. Pure sink — with or without a profiler the TraceSet is
   /// bit-identical. The profiler must outlive the acquisition and have
   /// nets pre-sized (engines call ensureNets before workers start).
@@ -170,10 +173,10 @@ std::vector<std::uint8_t> balancedClassSchedule(std::uint32_t tracesPerClass,
                                                 std::uint64_t seed);
 
 /// Collects a balanced, labelled trace set from `sbox` using the simulator
-/// and power model (both must be built for sbox.netlist()). `sim` is used
-/// as the prototype for per-worker clones (netlist, delay model, options,
-/// metrics attachment — also when the batch engine serves the run); its
-/// state after the call is unspecified.
+/// and power model (both must be built for sbox.netlist()). `sim` supplies
+/// the netlist, delay model, options and metrics attachment of every
+/// worker's engine (the batch engines are bound to a lowering of it, the
+/// reference engine clones it); its state after the call is unspecified.
 TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
                  const PowerModel& power,
                  const AcquisitionConfig& cfg = {});

@@ -7,11 +7,14 @@
 // 1 / (2 x threads) share of them, shrinking to single items at the tail
 // (guided self-scheduling) — so items of uneven cost (the acquisition's
 // stimulus-packed lane groups) balance across workers. The calling thread
-// is worker 0; the other workers are threads spawned per call. Which
-// worker runs which item therefore depends on thread timing; callers keep
-// their results invariant in the thread count by writing item i's result
-// to slot i (acquisition, fault campaign) or by merging per-worker
-// tallies exactly (stress profiling).
+// is worker 0; the other workers are threads spawned per call and joined
+// before it returns (no thread outlives a call; what outlives it on the
+// batch engine is the engines, sim/batch_sim.h). Worker w is the index of
+// the caller's per-worker state (an engine slot, a tally). Which worker
+// runs which item depends on thread timing; callers keep their results
+// invariant in the thread count by writing item i's result to slot i
+// (acquisition, fault campaign) or by merging per-worker tallies exactly
+// (stress profiling).
 //
 // Failure semantics ("fail-safe acquisition"):
 //   * a failing item stops every item above it: workers check before each
@@ -236,11 +239,13 @@ void shardedFor(std::size_t n, std::uint32_t threads, const Body& body,
   }
 }
 
-/// shardedFor with a private simulator per worker: runs body(sim, w, i)
-/// with `sim` = `proto` itself for worker 0 and a clone of it for every
-/// other worker (the engines' clone()-for-worker-pools contract: clones
-/// share the design and the metrics attachment). Every item must establish
-/// its own starting state (settle), so which instance runs it is invisible.
+/// shardedFor with a private reference simulator per worker: runs
+/// body(sim, w, i) with `sim` = `proto` itself for worker 0 and a clone of
+/// it for every other worker (EventSim's clone()-for-worker-pools
+/// contract: clones share the design and the metrics attachment). Every
+/// item must establish its own starting state (settle), so which instance
+/// runs it is invisible. The batch engine needs no clones: its workers take
+/// engines from the free list (BatchEngineLease, sim/batch_sim.h).
 template <typename Sim, typename Body, typename Describe>
 void shardedForEachClone(Sim& proto, std::size_t n, std::uint32_t threads,
                          const Body& body, const Describe& describe,

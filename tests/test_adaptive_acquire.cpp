@@ -7,33 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/experiment.h"
 #include "stats/adaptive.h"
+#include "trace_set_match.h"
 
 namespace lpa {
 namespace {
-
-bool isPrefixOf(const TraceSet& prefix, const TraceSet& full) {
-  if (prefix.size() > full.size() ||
-      prefix.numSamples() != full.numSamples()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < prefix.size(); ++i) {
-    if (prefix.label(i) != full.label(i)) return false;
-    if (std::memcmp(prefix.trace(i), full.trace(i),
-                    prefix.numSamples() * sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool traceSetsEqual(const TraceSet& a, const TraceSet& b) {
-  return a.size() == b.size() && isPrefixOf(a, b);
-}
 
 ExperimentConfig adaptiveConfig() {
   ExperimentConfig cfg;
@@ -56,7 +37,7 @@ TEST(AdaptiveAcquire, BitReproducibleAcrossThreadCounts) {
   SboxExperiment many(SboxStyle::Isw, cfg);
   const stats::AdaptiveResult b = many.adaptiveAcquireAt(0.0, kFourFolds);
 
-  EXPECT_TRUE(traceSetsEqual(a.traces, b.traces));
+  EXPECT_TRUE(sameTraceSet(a.traces, b.traces));
   EXPECT_EQ(a.stop, b.stop);
   EXPECT_EQ(a.batches, b.batches);
   ASSERT_EQ(a.history.size(), b.history.size());
@@ -76,7 +57,7 @@ TEST(AdaptiveAcquire, BitIdenticalAcrossEngines) {
   SboxExperiment fast(SboxStyle::Isw, cfg);
   const stats::AdaptiveResult b = fast.adaptiveAcquireAt(0.0, kFourFolds);
 
-  EXPECT_TRUE(traceSetsEqual(a.traces, b.traces));
+  EXPECT_TRUE(sameTraceSet(a.traces, b.traces));
   EXPECT_EQ(a.estimate.total, b.estimate.total);
   EXPECT_EQ(a.stop, b.stop);
 
@@ -84,7 +65,7 @@ TEST(AdaptiveAcquire, BitIdenticalAcrossEngines) {
   SboxExperiment bat(SboxStyle::Isw, cfg);
   const stats::AdaptiveResult c = bat.adaptiveAcquireAt(0.0, kFourFolds);
 
-  EXPECT_TRUE(traceSetsEqual(a.traces, c.traces));
+  EXPECT_TRUE(sameTraceSet(a.traces, c.traces));
   EXPECT_EQ(a.estimate.total, c.estimate.total);
   EXPECT_EQ(a.stop, c.stop);
 
@@ -93,7 +74,7 @@ TEST(AdaptiveAcquire, BitIdenticalAcrossEngines) {
   cfg.acquisition.numThreads = 1;
   SboxExperiment batOne(SboxStyle::Isw, cfg);
   const stats::AdaptiveResult d = batOne.adaptiveAcquireAt(0.0, kFourFolds);
-  EXPECT_TRUE(traceSetsEqual(a.traces, d.traces));
+  EXPECT_TRUE(sameTraceSet(a.traces, d.traces));
   EXPECT_EQ(a.estimate.total, d.estimate.total);
 }
 
@@ -115,7 +96,7 @@ TEST(AdaptiveAcquire, EarlyStopIsPrefixOfFullBudgetRun) {
   EXPECT_EQ(exhausted.stop, stats::AdaptiveStop::MaxTraces);
   EXPECT_EQ(exhausted.traces.size(), 2048u);
 
-  EXPECT_TRUE(isPrefixOf(early.traces, exhausted.traces));
+  EXPECT_TRUE(traceSetIsPrefix(early.traces, exhausted.traces));
 }
 
 TEST(AdaptiveAcquire, StopSemanticsAndHistory) {
@@ -148,7 +129,7 @@ TEST(AdaptiveAcquire, AcquireRoutesTheAdaptiveFlag) {
   cfg.acquisition.adaptive = true;
   SboxExperiment routed(SboxStyle::Isw, cfg);
   const TraceSet traces = routed.acquireAt(0.0);
-  EXPECT_TRUE(traceSetsEqual(traces, res.traces));
+  EXPECT_TRUE(sameTraceSet(traces, res.traces));
 }
 
 TEST(AdaptiveAcquire, RejectsMalformedConfig) {
@@ -216,19 +197,14 @@ TEST(AdaptiveResilience, DrainAndResumeIsPrefixIdenticalContinuation) {
       EXPECT_EQ(half.resilience.stopReason, "drain");
       ASSERT_EQ(half.traces.size(), 256u);
       // The drained run is a strict prefix of the uninterrupted one.
-      for (std::size_t i = 0; i < half.traces.size(); ++i) {
-        ASSERT_EQ(half.traces.label(i), full.traces.label(i));
-        ASSERT_EQ(std::memcmp(half.traces.trace(i), full.traces.trace(i),
-                              half.traces.numSamples() * sizeof(double)),
-                  0);
-      }
+      ASSERT_TRUE(traceSetIsPrefix(half.traces, full.traces));
 
       jobs::JobConfig rest = job;
       rest.stopAfterGroups = 0;
       SboxExperiment second(SboxStyle::Rsm, cfg);
       const jobs::ResilientResult res = second.resilientAcquireAt(0.0, rest);
       EXPECT_TRUE(res.resilience.resumed);
-      EXPECT_TRUE(traceSetsEqual(res.traces, full.traces))
+      EXPECT_TRUE(sameTraceSet(res.traces, full.traces))
           << "engine " << static_cast<int>(engine) << " threads " << threads;
       EXPECT_EQ(res.estimate.total, full.estimate.total);
       EXPECT_EQ(res.resilience.groupsCompleted, full.batches);

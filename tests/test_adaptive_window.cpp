@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -18,6 +17,7 @@
 #include "obs/metrics.h"
 #include "stats/adaptive.h"
 #include "trace/sharded_pool.h"
+#include "trace_set_match.h"
 
 namespace lpa {
 namespace {
@@ -66,14 +66,7 @@ stats::AdaptiveResult oneBatchAtATime(Rig& rig, const AcquisitionConfig& cfg) {
 
 void expectSameRun(const stats::AdaptiveResult& got,
                    const stats::AdaptiveResult& want) {
-  ASSERT_EQ(got.traces.size(), want.traces.size());
-  for (std::size_t i = 0; i < got.traces.size(); ++i) {
-    ASSERT_EQ(got.traces.label(i), want.traces.label(i)) << "trace " << i;
-    ASSERT_EQ(std::memcmp(got.traces.trace(i), want.traces.trace(i),
-                          got.traces.numSamples() * sizeof(double)),
-              0)
-        << "trace " << i;
-  }
+  ASSERT_TRUE(sameTraceSet(got.traces, want.traces));
   EXPECT_EQ(got.batches, want.batches);
   EXPECT_EQ(got.stop, want.stop);
   EXPECT_EQ(got.estimate.total, want.estimate.total);

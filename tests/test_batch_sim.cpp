@@ -16,14 +16,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/experiment.h"
 #include "fault/fault_spec.h"
 #include "obs/metrics.h"
 #include "trace/acquisition.h"
 #include "trace/prng.h"
+#include "trace_set_match.h"
 
 namespace lpa {
 namespace {
@@ -47,18 +51,6 @@ void expectSameTransitions(const std::vector<Transition>& a,
     EXPECT_EQ(a[i].net, b[i].net) << "transition " << i;
     EXPECT_EQ(a[i].newValue, b[i].newValue) << "transition " << i;
     EXPECT_EQ(a[i].weight, b[i].weight) << "transition " << i;
-  }
-}
-
-void expectIdenticalTraceSets(const TraceSet& a, const TraceSet& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.numSamples(), b.numSamples());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.label(i), b.label(i)) << "trace " << i;
-    for (std::uint32_t s = 0; s < a.numSamples(); ++s) {
-      ASSERT_EQ(a.trace(i)[s], b.trace(i)[s])
-          << "trace " << i << " sample " << s;
-    }
   }
 }
 
@@ -314,7 +306,7 @@ TEST(BatchSim, BatchSizeInvariance) {
   }
 }
 
-TEST(BatchSim, CloneAndResetReuseArenasBitIdentically) {
+TEST(BatchSim, RebindReusesArenasBitIdentically) {
   const auto sbox = makeSbox(SboxStyle::Glut);
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
@@ -324,9 +316,9 @@ TEST(BatchSim, CloneAndResetReuseArenasBitIdentically) {
   Prng rng(9);
   const auto st = drawStimuli(*sbox, 5, rng);
 
-  // Warm the arenas, then check a clone and a reset instance reproduce a
-  // fresh instance exactly (reused buckets and packed pending words must
-  // not leak prior events).
+  // Warm the arenas, then check a re-bound instance reproduces a fresh
+  // instance exactly (reused buckets and packed pending words must not
+  // leak prior events).
   a.settle(inits(st));
   a.run(fins(st));
   std::vector<std::vector<Transition>> first;
@@ -334,16 +326,9 @@ TEST(BatchSim, CloneAndResetReuseArenasBitIdentically) {
     first.push_back(a.laneTransitions(l));
   }
 
-  BatchSim b = a.clone();
-  EXPECT_EQ(b.laneStats(0).runs, 0u) << "clone starts with zeroed stats";
-  b.settle(inits(st));
-  b.run(fins(st));
-  for (std::uint32_t l = 0; l < 5; ++l) {
-    expectSameTransitions(first[l], b.laneTransitions(l));
-  }
-
-  a.reset();
-  EXPECT_EQ(a.laneStats(0).runs, 0u);
+  a.bind(design, SimOptions{});
+  EXPECT_EQ(a.laneStats(0).runs, 0u) << "bind zeroes the lane stats";
+  EXPECT_EQ(a.activeLanes(), 0u);
   a.settle(inits(st));
   a.run(fins(st));
   for (std::uint32_t l = 0; l < 5; ++l) {
@@ -357,6 +342,141 @@ TEST(BatchSim, CloneAndResetReuseArenasBitIdentically) {
     for (std::uint32_t l = 0; l < 5; ++l) {
       expectSameTransitions(first[l], a.laneTransitions(l));
     }
+  }
+}
+
+/// Binds `reused` to `design` and runs `st` on it and on a freshly
+/// constructed engine, recorded then fused: every lane's transitions,
+/// outputs, stats and trace must be bit-identical.
+void expectRebindMatchesFresh(BatchSim& reused, const CompiledDesign& design,
+                              const SimOptions& opts,
+                              const std::vector<LaneStimulus>& st) {
+  reused.bind(design, opts);
+  BatchSim fresh(design, opts);
+  for (BatchSim* sim : {&reused, &fresh}) {
+    sim->settle(inits(st));
+    sim->run(fins(st));
+  }
+  for (std::uint32_t l = 0; l < st.size(); ++l) {
+    SCOPED_TRACE("lane " + std::to_string(l));
+    expectSameTransitions(fresh.laneTransitions(l), reused.laneTransitions(l));
+    EXPECT_EQ(fresh.outputValues(l), reused.outputValues(l));
+    expectSameStats(fresh.laneStats(l), reused.laneStats(l));
+  }
+  for (BatchSim* sim : {&reused, &fresh}) {
+    sim->settle(inits(st));
+    sim->runFused(fins(st), seeds(st));
+  }
+  for (std::uint32_t l = 0; l < st.size(); ++l) {
+    SCOPED_TRACE("fused lane " + std::to_string(l));
+    ASSERT_EQ(std::memcmp(fresh.laneTrace(l), reused.laneTrace(l),
+                          design.numSamples * sizeof(double)),
+              0);
+    expectSameStats(fresh.laneStats(l), reused.laneStats(l));
+  }
+}
+
+TEST(BatchSim, RebindAcrossDesignsMatchesFreshEngine) {
+  // One engine re-targeted GLUT -> ISW -> RSM-ROM -> GLUT under both delay
+  // kinds, on fresh and 48-month aged devices, with 1 and 64 lanes: the
+  // gate count changes at every step but the last round trip, so both the
+  // kept-arena and the reallocating paths of bind() are crossed.
+  struct Device {
+    std::unique_ptr<MaskedSbox> sbox;
+    std::unique_ptr<DelayModel> dm;
+    std::unique_ptr<PowerModel> pm;
+    std::unique_ptr<CompiledDesign> fresh, aged;
+  };
+  std::vector<Device> devices;
+  for (SboxStyle style : {SboxStyle::Glut, SboxStyle::Isw,
+                          SboxStyle::RsmRom, SboxStyle::Glut}) {
+    Device d;
+    d.sbox = makeSbox(style);
+    d.dm = std::make_unique<DelayModel>(d.sbox->netlist());
+    d.pm = std::make_unique<PowerModel>(d.sbox->netlist());
+    d.fresh = std::make_unique<CompiledDesign>(d.sbox->netlist(), *d.dm,
+                                               *d.pm);
+    SboxExperiment exp(style);
+    const AgingFactors f = exp.agingFactorsAt(48.0);
+    d.dm->setAgingFactors(f.delayScale);
+    d.pm->setAgingFactors(f.amplitudeScale);
+    d.aged = std::make_unique<CompiledDesign>(d.sbox->netlist(), *d.dm,
+                                              *d.pm);
+    devices.push_back(std::move(d));
+  }
+
+  BatchSim engine(*devices[0].fresh, SimOptions{});
+  for (std::size_t lanes : {std::size_t(1), std::size_t(64)}) {
+    for (bool aged : {false, true}) {
+      for (DelayKind kind : {DelayKind::Transport, DelayKind::Inertial}) {
+        SimOptions opts;
+        opts.kind = kind;
+        for (const Device& d : devices) {
+          SCOPED_TRACE(std::string(d.sbox->name()) + " lanes=" +
+                       std::to_string(lanes) + (aged ? " aged" : " fresh") +
+                       (kind == DelayKind::Inertial ? " inertial"
+                                                    : " transport"));
+          Prng rng(0xB1D + lanes);
+          const auto st = drawStimuli(*d.sbox, lanes, rng);
+          expectRebindMatchesFresh(engine, aged ? *d.aged : *d.fresh, opts,
+                                   st);
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchSim, RebindAfterDivergenceMatchesFreshEngine) {
+  // A SimDiverged throw leaves pending masks, queued waves and half-run
+  // stats behind; bind() must clear all of it, both back onto the same
+  // design with the watchdog still armed and onto another design.
+  const auto glut = makeSbox(SboxStyle::Glut);
+  const DelayModel gdm(glut->netlist());
+  const PowerModel gpm(glut->netlist());
+  const CompiledDesign glutDesign(glut->netlist(), gdm, gpm);
+  const auto rsm = makeSbox(SboxStyle::Rsm);
+  const DelayModel rdm(rsm->netlist());
+  const PowerModel rpm(rsm->netlist());
+  const CompiledDesign rsmDesign(rsm->netlist(), rdm, rpm);
+
+  for (DelayKind kind : {DelayKind::Inertial, DelayKind::Transport}) {
+    SimOptions armed;
+    armed.kind = kind;
+    armed.maxEvents = 5;  // far below a GLUT transition's event count
+    Prng rng(13);
+    const auto st = drawStimuli(*glut, 7, rng);
+    const auto diverge = [&](BatchSim& sim) {
+      sim.settle(inits(st));
+      try {
+        sim.run(fins(st));
+      } catch (const SimDiverged& e) {
+        return std::make_pair(e.eventsProcessed(), sim.divergedLane());
+      }
+      ADD_FAILURE() << "the armed watchdog must fire";
+      return std::make_pair(std::uint64_t(0), -1);
+    };
+
+    BatchSim engine(glutDesign, armed);
+    const auto firstTrip = diverge(engine);
+    engine.bind(glutDesign, armed);
+    BatchSim fresh(glutDesign, armed);
+    const auto reboundTrip = diverge(engine);
+    EXPECT_EQ(diverge(fresh), reboundTrip);
+    EXPECT_EQ(firstTrip, reboundTrip);
+    for (std::uint32_t l = 0; l < st.size(); ++l) {
+      expectSameStats(fresh.laneStats(l), engine.laneStats(l));
+    }
+
+    // Straight from a throw onto another design, disarmed; then diverge
+    // once more and come back disarmed.
+    SimOptions opts;
+    opts.kind = kind;
+    Prng rsmRng(14);
+    expectRebindMatchesFresh(engine, rsmDesign, opts,
+                             drawStimuli(*rsm, 64, rsmRng));
+    engine.bind(glutDesign, armed);
+    diverge(engine);
+    expectRebindMatchesFresh(engine, glutDesign, opts, st);
   }
 }
 
@@ -536,9 +656,9 @@ TEST(BatchAcquire, ForcedEnginesAreBitIdenticalAcrossThreads) {
   for (std::uint32_t threads : {1u, 2u, 0u}) {  // 0 = hardware concurrency
     cfg.numThreads = threads;
     cfg.engine = SimEngine::Batch;
-    expectIdenticalTraceSets(ref, acquire(*sbox, sim, pm, cfg));
+    EXPECT_TRUE(sameTraceSet(ref, acquire(*sbox, sim, pm, cfg)));
     cfg.engine = SimEngine::Auto;
-    expectIdenticalTraceSets(ref, acquire(*sbox, sim, pm, cfg));
+    EXPECT_TRUE(sameTraceSet(ref, acquire(*sbox, sim, pm, cfg)));
   }
 
   // A forced batch run below the lane width is a legal partial group.
@@ -547,7 +667,7 @@ TEST(BatchAcquire, ForcedEnginesAreBitIdenticalAcrossThreads) {
   cfg.engine = SimEngine::Reference;
   const TraceSet small = acquire(*sbox, sim, pm, cfg);
   cfg.engine = SimEngine::Batch;
-  expectIdenticalTraceSets(small, acquire(*sbox, sim, pm, cfg));
+  EXPECT_TRUE(sameTraceSet(small, acquire(*sbox, sim, pm, cfg)));
 }
 
 TEST(BatchAcquire, KeyedAcquisitionEnginesAgree) {
@@ -560,7 +680,7 @@ TEST(BatchAcquire, KeyedAcquisitionEnginesAgree) {
                                     SimEngine::Reference);
   const TraceSet bat = acquireKeyed(*sbox, sim, pm, 0xB, 100, 5, 2,
                                     SimEngine::Batch);
-  expectIdenticalTraceSets(ref, bat);
+  EXPECT_TRUE(sameTraceSet(ref, bat));
 }
 
 TEST(BatchAcquire, FaultedDesignFallsBackAndForcedBatchThrows) {
@@ -590,7 +710,7 @@ TEST(BatchAcquire, FaultedDesignFallsBackAndForcedBatchThrows) {
   const auto ref = outcome(SimEngine::Reference);
   const auto aut = outcome(SimEngine::Auto);
   EXPECT_EQ(ref.first, aut.first);
-  expectIdenticalTraceSets(ref.second, aut.second);
+  EXPECT_TRUE(sameTraceSet(ref.second, aut.second));
 
   // Forcing the batch engine on an overlaid netlist is an immediate
   // configuration error, before any worker runs, and the message names

@@ -13,6 +13,7 @@
 #include "netlist/validate.h"
 #include "sboxes/encoding.h"
 #include "trace/acquisition.h"
+#include "trace_set_match.h"
 
 namespace lpa {
 namespace {
@@ -236,17 +237,6 @@ TEST(Watchdog, NoBehaviouralChangeOnConvergentRuns) {
       EXPECT_DOUBLE_EQ(trA[i].weight, trB[i].weight);
     }
   }
-}
-
-bool sameTraceSet(const TraceSet& x, const TraceSet& y) {
-  if (x.size() != y.size() || x.numSamples() != y.numSamples()) return false;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x.label(i) != y.label(i)) return false;
-    for (std::uint32_t s = 0; s < x.numSamples(); ++s) {
-      if (x.trace(i)[s] != y.trace(i)[s]) return false;
-    }
-  }
-  return true;
 }
 
 TEST(FaultCampaign, EmptyFaultListReproducesBaselineBitIdentically) {

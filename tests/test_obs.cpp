@@ -17,22 +17,10 @@
 #include "obs/progress.h"
 #include "obs/trace_span.h"
 #include "trace/acquisition.h"
+#include "trace_set_match.h"
 
 namespace lpa {
 namespace {
-
-void expectBitIdentical(const TraceSet& a, const TraceSet& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.numSamples(), b.numSamples());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.label(i), b.label(i)) << "trace " << i;
-    for (std::uint32_t s = 0; s < a.numSamples(); ++s) {
-      // EXPECT_EQ on doubles is exact — that is the contract.
-      ASSERT_EQ(a.trace(i)[s], b.trace(i)[s])
-          << "trace " << i << " sample " << s;
-    }
-  }
-}
 
 TraceSet acquireWith(bool observe, std::uint32_t threads,
                      bool withProgress, bool withSpans) {
@@ -61,7 +49,7 @@ TEST(ObsZeroPerturbation, TracesBitIdenticalObserveOnOff) {
   const TraceSet plain = acquireWith(false, 1, false, false);
   for (std::uint32_t threads : {1u, 2u, hw}) {
     const TraceSet instrumented = acquireWith(true, threads, true, true);
-    expectBitIdentical(plain, instrumented);
+    EXPECT_TRUE(sameTraceSet(plain, instrumented));
   }
 }
 
@@ -98,7 +86,7 @@ TEST(ObsZeroPerturbation, FaultCampaignIdenticalObserveOnOff) {
   const FaultCampaignResult off =
       runFaultCampaign(*sbox, delays, power, faults, cfg);
 
-  expectBitIdentical(on.baseline, off.baseline);
+  EXPECT_TRUE(sameTraceSet(on.baseline, off.baseline));
   ASSERT_EQ(on.reports.size(), off.reports.size());
   for (std::size_t j = 0; j < on.reports.size(); ++j) {
     EXPECT_EQ(on.reports[j].classification, off.reports[j].classification);

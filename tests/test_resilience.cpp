@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 #include <csignal>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -23,21 +22,10 @@
 #include "obs/run_report.h"
 #include "stats/report.h"
 #include "trace/acquisition.h"
+#include "trace_set_match.h"
 
 namespace lpa {
 namespace {
-
-bool traceSetsEqual(const TraceSet& a, const TraceSet& b) {
-  if (a.size() != b.size() || a.numSamples() != b.numSamples()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a.label(i) != b.label(i)) return false;
-    if (std::memcmp(a.trace(i), b.trace(i),
-                    a.numSamples() * sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 std::string tmpPath(const std::string& name) {
   const std::string path = ::testing::TempDir() + name;
@@ -70,7 +58,7 @@ TEST(AcquireRange, SlicesConcatenateToFullAcquire) {
 
   const AcquisitionConfig& cfg = ecfg.acquisition;
   const TraceSet full = acquireRange(exp.sbox(), sim, power, cfg, 0, 128);
-  EXPECT_TRUE(traceSetsEqual(full, acquire(exp.sbox(), sim, power, cfg)));
+  EXPECT_TRUE(sameTraceSet(full, acquire(exp.sbox(), sim, power, cfg)));
 
   // Re-acquire in three uneven slices, mixing engines per slice.
   AcquisitionConfig c1 = cfg;
@@ -83,7 +71,7 @@ TEST(AcquireRange, SlicesConcatenateToFullAcquire) {
   c3.engine = SimEngine::Batch;
   got.append(acquireRange(exp.sbox(), sim, power, c3, 51, 128));
 
-  EXPECT_TRUE(traceSetsEqual(got, full));
+  EXPECT_TRUE(sameTraceSet(got, full));
   EXPECT_EQ(acquireRange(exp.sbox(), sim, power, cfg, 7, 7).size(), 0u);
   EXPECT_THROW(acquireRange(exp.sbox(), sim, power, cfg, 10, 9),
                std::invalid_argument);
@@ -135,7 +123,7 @@ TEST(Checkpoint, SaveLoadRoundTrips) {
   EXPECT_EQ(back->completedGroups, cp.completedGroups);
   EXPECT_EQ(back->groupDigests, cp.groupDigests);
   EXPECT_EQ(back->lineage, cp.lineage);
-  EXPECT_TRUE(traceSetsEqual(back->traces, cp.traces));
+  EXPECT_TRUE(sameTraceSet(back->traces, cp.traces));
   EXPECT_EQ(back->streamState, cp.streamState);
   std::remove(path.c_str());
 }
@@ -232,7 +220,7 @@ TEST(ResilientAcquire, MatchesPlainAcquire) {
   SboxExperiment exp(SboxStyle::Opt, ecfg);
   const jobs::ResilientResult res = exp.resilientAcquireAt(0.0, job);
 
-  EXPECT_TRUE(traceSetsEqual(res.traces, expected));
+  EXPECT_TRUE(sameTraceSet(res.traces, expected));
   EXPECT_EQ(res.resilience.stopReason, "completed");
   EXPECT_FALSE(res.resilience.truncated);
   EXPECT_FALSE(res.resilience.resumed);
@@ -576,7 +564,7 @@ TEST(ResilientAcquire, WindowsSpanGroupsBetweenCheckpoints) {
     EXPECT_EQ(res.traces.size(), session == 0 ? 72u : 128u);
     job.stopAfterGroups = 0;
   }
-  EXPECT_TRUE(traceSetsEqual(res.traces, expected));
+  EXPECT_TRUE(sameTraceSet(res.traces, expected));
   EXPECT_EQ(res.resilience.stopReason, "completed");
   stats::StreamingLeakage stream(expected.numSamples(), kFourFolds);
   stream.addTraceSet(expected);

@@ -58,7 +58,7 @@ PINNED_PARAMS = ("style", "traces_per_class")
 BOOL_PARAMS = ("obs_bit_identical", "engine_bit_identical",
                "stress_bit_identical")
 RATIO_PARAMS = ("batch_speedup", "stress_speedup", "rsm_rom_batch_speedup",
-                "adaptive_window_speedup")
+                "adaptive_window_speedup", "engine_reuse_ratio")
 RATIO_FLOOR_FRACTION = 0.75  # floor recorded by --update: 75% of measured
 THROUGHPUT_PREFIX = "traces_per_sec"
 

@@ -40,6 +40,7 @@ FULL_PARAMS = {
     "stress_speedup": 3.2,
     "rsm_rom_batch_speedup": 2.0,
     "adaptive_window_speedup": 1.6,
+    "engine_reuse_ratio": 40.0,
     "traces_per_sec_reference": 15000.0,
     "traces_per_sec_batch": 150000.0,
 }
@@ -71,6 +72,7 @@ class RatioFloors(unittest.TestCase):
         self.assertEqual(floors["stress_speedup"], 2.4)  # 0.75 * 3.2
         self.assertEqual(floors["rsm_rom_batch_speedup"], 1.5)  # 0.75 * 2.0
         self.assertEqual(floors["adaptive_window_speedup"], 1.2)  # 0.75*1.6
+        self.assertEqual(floors["engine_reuse_ratio"], 30.0)  # 0.75 * 40
 
     def test_stress_ratio_below_floor_fails(self):
         # Stress profiling slipping back toward the reference chain's cost
