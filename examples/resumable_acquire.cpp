@@ -21,6 +21,9 @@
 //
 // Exit status: 0 on a completed run, 4 on a truncated (deadline/drain)
 // run — so wrapper scripts can tell "done" from "come back and resume".
+// The `digest` line fingerprints the traces and the `estimate bits` line
+// prints the total leakage and its CI half-width as hex floats; both are
+// bit-identical between a resumed run and the uninterrupted one.
 
 #include <cctype>
 #include <csignal>
@@ -192,6 +195,10 @@ int main(int argc, char** argv) {
                 res.estimate.total, res.estimate.totalCi.halfWidth,
                 100.0 * res.estimate.confidence);
   }
+  // Exact bits of the estimate, so a resumed run can be diffed against the
+  // uninterrupted one as strictly as the digest diffs the traces.
+  std::printf("estimate bits    %a %a\n", res.estimate.total,
+              res.estimate.totalCi.halfWidth);
   std::printf("digest           %s\n", digest.hex().c_str());
 
   stats::fillStatistics(scope.report(), res.estimate,

@@ -3,13 +3,14 @@
 #include <cstdio>
 #include <cstring>
 
+#include "jobs/trace_digest.h"
 #include "obs/fsio.h"
-#include "stats/serial.h"
 
 namespace lpa::jobs {
 
 namespace {
 
+// Host byte order throughout: a checkpoint is a same-machine artifact.
 void putBytes(std::vector<std::uint8_t>& out, const void* data,
               std::size_t n) {
   const std::size_t at = out.size();
@@ -17,13 +18,18 @@ void putBytes(std::vector<std::uint8_t>& out, const void* data,
   std::memcpy(out.data() + at, data, n);
 }
 
-std::uint64_t fnvOf(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+template <typename T>
+void put(std::vector<std::uint8_t>& out, T v) {
+  putBytes(out, &v, sizeof(v));
+}
+
+/// Reads a T from buf[pos..size), advancing `pos`; false on truncation.
+template <typename T>
+bool get(const std::uint8_t* buf, std::size_t size, std::size_t& pos, T& v) {
+  if (pos > size || size - pos < sizeof(T)) return false;
+  std::memcpy(&v, buf + pos, sizeof(T));
+  pos += sizeof(T);
+  return true;
 }
 
 std::optional<Checkpoint> fail(std::string* whyNot, const char* reason) {
@@ -36,27 +42,25 @@ std::optional<Checkpoint> fail(std::string* whyNot, const char* reason) {
 void saveCheckpoint(const std::string& path, const Checkpoint& cp) {
   std::vector<std::uint8_t> buf;
   putBytes(buf, kCheckpointMagic, sizeof(kCheckpointMagic));
-  stats::serial::putU64(buf, cp.fingerprint);
-  stats::serial::putU64(buf, cp.seed);
-  stats::serial::putU32(buf, cp.numSamples);
-  stats::serial::putU32(buf, cp.groupTraces);
-  stats::serial::putU64(buf, cp.groupsTotal);
-  stats::serial::putU64(buf, cp.completedGroups);
-  stats::serial::putU64(buf, cp.groupDigests.size());
-  for (std::uint64_t d : cp.groupDigests) stats::serial::putU64(buf, d);
-  stats::serial::putU64(buf, cp.lineage.size());
+  put<std::uint64_t>(buf, cp.fingerprint);
+  put<std::uint64_t>(buf, cp.seed);
+  put<std::uint32_t>(buf, cp.numSamples);
+  put<std::uint32_t>(buf, cp.groupTraces);
+  put<std::uint64_t>(buf, cp.groupsTotal);
+  put<std::uint64_t>(buf, cp.completedGroups);
+  put<std::uint64_t>(buf, cp.groupDigests.size());
+  for (std::uint64_t d : cp.groupDigests) put<std::uint64_t>(buf, d);
+  put<std::uint64_t>(buf, cp.lineage.size());
   for (const std::string& s : cp.lineage) {
-    stats::serial::putU64(buf, s.size());
+    put<std::uint64_t>(buf, s.size());
     putBytes(buf, s.data(), s.size());
   }
-  stats::serial::putU64(buf, cp.traces.size());
+  put<std::uint64_t>(buf, cp.traces.size());
   for (std::size_t i = 0; i < cp.traces.size(); ++i) {
     buf.push_back(cp.traces.label(i));
     putBytes(buf, cp.traces.trace(i), cp.numSamples * sizeof(double));
   }
-  stats::serial::putU64(buf, cp.streamState.size());
-  putBytes(buf, cp.streamState.data(), cp.streamState.size());
-  stats::serial::putU64(buf, fnvOf(buf.data(), buf.size()));
+  put<std::uint64_t>(buf, digestOfBytes(buf.data(), buf.size()));
 
   obs::atomicWriteFile(
       path, std::string(reinterpret_cast<const char*>(buf.data()),
@@ -80,8 +84,6 @@ std::optional<Checkpoint> loadCheckpoint(const std::string& path,
     if (readError) return fail(whyNot, "read error");
   }
 
-  using stats::serial::getU32;
-  using stats::serial::getU64;
   const std::size_t size = buf.size();
   if (size < sizeof(kCheckpointMagic) + sizeof(std::uint64_t)) {
     return fail(whyNot, "file too short");
@@ -96,25 +98,24 @@ std::optional<Checkpoint> loadCheckpoint(const std::string& path,
   std::uint64_t storedSum = 0;
   {
     std::size_t pos = body;
-    if (!getU64(buf.data(), size, pos, storedSum)) {
+    if (!get(buf.data(), size, pos, storedSum)) {
       return fail(whyNot, "file too short");
     }
   }
-  if (fnvOf(buf.data(), body) != storedSum) {
+  if (digestOfBytes(buf.data(), body) != storedSum) {
     return fail(whyNot, "checksum mismatch (torn or corrupt file)");
   }
 
   Checkpoint cp;
   std::size_t pos = sizeof(kCheckpointMagic);
-  std::uint64_t numDigests = 0, numLineage = 0, numTraces = 0,
-                streamLen = 0;
-  if (!getU64(buf.data(), body, pos, cp.fingerprint) ||
-      !getU64(buf.data(), body, pos, cp.seed) ||
-      !getU32(buf.data(), body, pos, cp.numSamples) ||
-      !getU32(buf.data(), body, pos, cp.groupTraces) ||
-      !getU64(buf.data(), body, pos, cp.groupsTotal) ||
-      !getU64(buf.data(), body, pos, cp.completedGroups) ||
-      !getU64(buf.data(), body, pos, numDigests)) {
+  std::uint64_t numDigests = 0, numLineage = 0, numTraces = 0;
+  if (!get(buf.data(), body, pos, cp.fingerprint) ||
+      !get(buf.data(), body, pos, cp.seed) ||
+      !get(buf.data(), body, pos, cp.numSamples) ||
+      !get(buf.data(), body, pos, cp.groupTraces) ||
+      !get(buf.data(), body, pos, cp.groupsTotal) ||
+      !get(buf.data(), body, pos, cp.completedGroups) ||
+      !get(buf.data(), body, pos, numDigests)) {
     return fail(whyNot, "truncated header");
   }
   if (cp.numSamples == 0) return fail(whyNot, "zero samples per trace");
@@ -124,18 +125,19 @@ std::optional<Checkpoint> loadCheckpoint(const std::string& path,
   }
   cp.groupDigests.resize(numDigests);
   for (std::uint64_t i = 0; i < numDigests; ++i) {
-    if (!getU64(buf.data(), body, pos, cp.groupDigests[i])) {
+    if (!get(buf.data(), body, pos, cp.groupDigests[i])) {
       return fail(whyNot, "truncated group digests");
     }
   }
-  if (!getU64(buf.data(), body, pos, numLineage) ||
-      numLineage > body - pos) {
+  // Every lineage entry carries at least its 8-byte length.
+  if (!get(buf.data(), body, pos, numLineage) ||
+      numLineage > (body - pos) / sizeof(std::uint64_t)) {
     return fail(whyNot, "lineage count inconsistent");
   }
   cp.lineage.reserve(numLineage);
   for (std::uint64_t i = 0; i < numLineage; ++i) {
     std::uint64_t len = 0;
-    if (!getU64(buf.data(), body, pos, len) || len > body - pos) {
+    if (!get(buf.data(), body, pos, len) || len > body - pos) {
       return fail(whyNot, "truncated lineage entry");
     }
     cp.lineage.emplace_back(reinterpret_cast<const char*>(buf.data() + pos),
@@ -144,7 +146,7 @@ std::optional<Checkpoint> loadCheckpoint(const std::string& path,
   }
   const std::size_t traceBytes =
       1 + static_cast<std::size_t>(cp.numSamples) * sizeof(double);
-  if (!getU64(buf.data(), body, pos, numTraces) ||
+  if (!get(buf.data(), body, pos, numTraces) ||
       numTraces > (body - pos) / traceBytes) {
     return fail(whyNot, "trace count inconsistent");
   }
@@ -161,12 +163,6 @@ std::optional<Checkpoint> loadCheckpoint(const std::string& path,
     pos += cp.numSamples * sizeof(double);
     cp.traces.add(label, std::move(samples));
   }
-  if (!getU64(buf.data(), body, pos, streamLen) ||
-      streamLen > body - pos) {
-    return fail(whyNot, "stream-state length inconsistent");
-  }
-  cp.streamState.assign(buf.data() + pos, buf.data() + pos + streamLen);
-  pos += streamLen;
   if (pos != body) return fail(whyNot, "trailing bytes after payload");
   return cp;
 }

@@ -3,11 +3,12 @@
 //
 // A checkpoint is a point-in-time snapshot of a resilient acquisition
 // (jobs/resilient.h) taken at a group boundary: the committed trace
-// prefix, the serialized streaming-estimator state, the per-group
-// digests, and a config fingerprint binding the file to one logical run
-// (netlist structure, seed, protocol knobs — NOT engine or thread count,
-// because resuming under a different engine or thread count must be
-// legal and bit-identical).
+// prefix, the per-group digests, and a config fingerprint binding the file
+// to one logical run (netlist structure, seed, protocol knobs — NOT engine
+// or thread count, because resuming under a different engine or thread
+// count must be legal and bit-identical). It holds no estimator state: the
+// estimate is a pure function of the traces in index order, so a resume
+// re-folds them.
 //
 // ## Crash model
 //
@@ -20,7 +21,8 @@
 //
 // The format is a same-machine artifact (host byte order), not an
 // interchange format: a checkpoint is consumed by the process lineage
-// that wrote it.
+// that wrote it. A file of another format version fails the magic check
+// and loads as absent, so the run starts fresh.
 
 #include <cstdint>
 #include <optional>
@@ -31,9 +33,10 @@
 
 namespace lpa::jobs {
 
-/// On-disk magic: 8 bytes at offset 0.
+/// On-disk magic: 8 bytes at offset 0. The digit is the layout version;
+/// a file of any other version loads as absent.
 inline constexpr char kCheckpointMagic[8] = {'L', 'P', 'A', 'C',
-                                             'K', 'P', 'T', '1'};
+                                             'K', 'P', 'T', '2'};
 
 struct Checkpoint {
   /// Binds the file to one logical run: acquisitionFingerprint()
@@ -58,8 +61,6 @@ struct Checkpoint {
   std::vector<std::string> lineage;
   /// The committed trace prefix (completedGroups groups).
   TraceSet traces{0};
-  /// stats::StreamingLeakage::serialize() state matching `traces`.
-  std::vector<std::uint8_t> streamState;
 };
 
 /// Atomically replaces `path` with the serialized checkpoint; throws

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <exception>
 #include <stdexcept>
 
@@ -22,37 +20,12 @@ namespace lpa::jobs {
 
 namespace {
 
-void fnvU64(std::uint64_t& h, std::uint64_t v) {
-  for (int b = 0; b < 64; b += 8) {
-    h ^= (v >> b) & 0xFF;
-    h *= 0x100000001B3ULL;
-  }
-}
-
-void fnvF64(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  fnvU64(h, bits);
-}
-
-std::string hexOf(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 /// FNV-1a over a lineage entry string: the flow-event id linking the
 /// checkpoint-write in one process to the resume-adoption in the next.
 /// Both sides hash the same "g<k>/<n>:<digest>" text, so the ids match
 /// across restarts with no shared state beyond the checkpoint itself.
-std::uint64_t fnvOfString(const std::string& s) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+std::uint64_t flowIdOf(const std::string& lineageEntry) {
+  return digestOfBytes(lineageEntry.data(), lineageEntry.size());
 }
 
 /// Best-effort message of the exception behind `eptr`, for journal fields.
@@ -99,27 +72,26 @@ std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
                                      const PowerModel& power,
                                      const AcquisitionConfig& cfg,
                                      const JobConfig& job) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  fnvU64(h, netlistDigest(sbox.netlist()));
-  fnvU64(h, static_cast<std::uint64_t>(sbox.style()));
-  fnvU64(h, power.options().numSamples);
-  fnvU64(h, cfg.seed);
-  fnvU64(h, cfg.tracesPerClass);
-  fnvU64(h, cfg.initialValue);
-  fnvU64(h, cfg.adaptive ? 1 : 0);
+  DigestAccumulator h;
+  h.addU64(netlistDigest(sbox.netlist()));
+  h.addU64(static_cast<std::uint64_t>(sbox.style()));
+  h.addU64(power.options().numSamples);
+  h.addU64(cfg.seed);
+  h.addU64(cfg.tracesPerClass);
+  h.addU64(cfg.initialValue);
+  h.addU64(cfg.adaptive ? 1 : 0);
   if (cfg.adaptive) {
-    fnvU64(h, cfg.batchSize);
-    fnvU64(h, cfg.maxTraces != 0 ? cfg.maxTraces
-                                 : 16ULL * cfg.tracesPerClass);
-    fnvF64(h, cfg.targetCiRel);
+    h.addU64(cfg.batchSize);
+    h.addU64(cfg.maxTraces != 0 ? cfg.maxTraces : 16ULL * cfg.tracesPerClass);
+    h.add(cfg.targetCiRel);
   } else {
-    fnvU64(h, job.groupTraces);
+    h.addU64(job.groupTraces);
   }
-  fnvU64(h, static_cast<std::uint64_t>(job.statsOpt.mode));
-  fnvU64(h, job.statsOpt.numFolds);
-  fnvF64(h, job.statsOpt.confidence);
-  fnvU64(h, job.fingerprintExtra);
-  return h;
+  h.addU64(static_cast<std::uint64_t>(job.statsOpt.mode));
+  h.addU64(job.statsOpt.numFolds);
+  h.add(job.statsOpt.confidence);
+  h.addU64(job.fingerprintExtra);
+  return h.value();
 }
 
 ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
@@ -178,6 +150,9 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
 
   // ---- Resume: load, verify, and adopt a matching checkpoint. A stale,
   // torn, or foreign checkpoint is ignored (fresh start), never trusted.
+  // The adopted traces are re-folded in index order: the floating-point
+  // operations the uninterrupted run performed, so the estimate, its fold
+  // membership and the adaptive stop decision are bit-identical.
   std::uint64_t g0 = 0;
   if (!job.checkpointPath.empty()) {
     std::string whyNot;
@@ -194,19 +169,9 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
           ok = false;
         }
       }
-      std::optional<stats::StreamingLeakage> loaded;
-      if (ok) {
-        loaded = stats::StreamingLeakage::deserialize(
-            cp->streamState.data(), cp->streamState.size());
-        ok = loaded.has_value() && loaded->numSamples() == numSamples &&
-             loaded->traces() == cp->traces.size() &&
-             loaded->options().mode == job.statsOpt.mode &&
-             loaded->options().numFolds == job.statsOpt.numFolds &&
-             loaded->options().confidence == job.statsOpt.confidence;
-      }
       if (ok) {
         res.traces = std::move(cp->traces);
-        stream = std::move(*loaded);
+        stream.addTraceSet(res.traces);
         groupDigests = std::move(cp->groupDigests);
         info.lineage = std::move(cp->lineage);
         g0 = cp->completedGroups;
@@ -225,7 +190,7 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
           if (!info.lineage.empty()) {
             obs::TraceCollector& tc = obs::TraceCollector::global();
             tc.recordFlow("checkpoint-resume", tc.nowUs(),
-                          fnvOfString(info.lineage.back()), /*start=*/false);
+                          flowIdOf(info.lineage.back()), /*start=*/false);
           }
         }
       }
@@ -322,19 +287,19 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
     cp.groupsTotal = groupsTotal;
     cp.completedGroups = info.groupsCompleted;
     cp.groupDigests = groupDigests;
+    DigestAccumulator prefix;
+    prefix.addTraceSet(res.traces);
     info.lineage.push_back("g" + std::to_string(info.groupsCompleted) + "/" +
-                           std::to_string(groupsTotal) + ":" +
-                           hexOf(digestOfTraceSet(res.traces)));
+                           std::to_string(groupsTotal) + ":" + prefix.hex());
     // Flow start: a future process resuming from this checkpoint emits the
     // matching finish (it re-hashes this very lineage entry).
     {
       obs::TraceCollector& tc = obs::TraceCollector::global();
       tc.recordFlow("checkpoint-resume", tc.nowUs(),
-                    fnvOfString(info.lineage.back()), /*start=*/true);
+                    flowIdOf(info.lineage.back()), /*start=*/true);
     }
     cp.lineage = info.lineage;
     cp.traces = res.traces;
-    cp.streamState = stream.serialize();
     saveCheckpoint(job.checkpointPath, cp);
     lastCheckpointed = info.groupsCompleted;
     reg.counter("jobs.checkpoints_written").add(1);

@@ -11,7 +11,9 @@
 // Group g is the schedule slice [g*groupTraces, ...) of a fixed run, or
 // batch g (under stats::adaptiveBatchSeed(seed, g)) of an adaptive one: a
 // pure function of (seed, g), never of wall clock, engine, thread count,
-// window or earlier groups. So a resumed run's traces, estimate and digest
+// window or earlier groups. A resume re-folds the checkpoint's committed
+// traces in index order into a fresh estimator, the same fold the
+// uninterrupted run made. So a resumed run's traces, estimate and digest
 // are bit-identical to the uninterrupted run's, and the checkpoint
 // fingerprint EXCLUDES engine and thread count but INCLUDES everything
 // that determines result bits (netlist, seed, protocol and estimator knobs).

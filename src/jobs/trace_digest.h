@@ -2,7 +2,8 @@
 // Order-sensitive FNV-1a determinism digests over trace data — the single
 // digest definition shared by the benches (bench/bench_util.h aliases this
 // class), the checkpoint/resume layer (jobs/checkpoint.h, group commit
-// digests), and the engine-quarantine spot-check (jobs/resilient.h).
+// digests and the file checksum), the run fingerprint and lineage flow ids,
+// and the engine-quarantine spot-check (jobs/resilient.h).
 //
 // The digest folds the exact IEEE-754 bit patterns of doubles, so equal
 // digests <=> bit-identical traces: it is the currency of every
@@ -32,10 +33,12 @@ class DigestAccumulator {
   /// uses for a double's pattern, so mixed u64/double streams are
   /// well-defined).
   void addU64(std::uint64_t bits) {
-    for (int b = 0; b < 64; b += 8) {
-      hash_ ^= (bits >> b) & 0xFF;
-      hash_ *= 0x100000001B3ULL;
-    }
+    for (int b = 0; b < 64; b += 8) addByte((bits >> b) & 0xFF);
+  }
+  /// Folds `n` raw bytes in memory order (plain FNV-1a over a buffer).
+  void addBytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < n; ++i) addByte(p[i]);
   }
   /// Folds traces [begin, end) of `ts`: per trace the label (as a double,
   /// the historical bench encoding) then every sample.
@@ -57,6 +60,11 @@ class DigestAccumulator {
   }
 
  private:
+  void addByte(std::uint8_t byte) {
+    hash_ ^= byte;
+    hash_ *= 0x100000001B3ULL;
+  }
+
   std::uint64_t hash_ = 0xCBF29CE484222325ULL;  // FNV offset basis
 };
 
@@ -71,6 +79,14 @@ inline std::uint64_t digestOfRange(const TraceSet& ts, std::size_t begin,
 
 inline std::uint64_t digestOfTraceSet(const TraceSet& ts) {
   return digestOfRange(ts, 0, ts.size());
+}
+
+/// Plain FNV-1a over `n` bytes (a checkpoint file's checksum, a lineage
+/// entry's flow id).
+inline std::uint64_t digestOfBytes(const void* data, std::size_t n) {
+  DigestAccumulator d;
+  d.addBytes(data, n);
+  return d.value();
 }
 
 }  // namespace lpa::jobs

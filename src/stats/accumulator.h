@@ -15,6 +15,9 @@
 // before the stats refactor (per-class Welford in trace order), so the
 // streaming estimator is bit-identical to the batch estimator — not merely
 // close. tests/test_stats.cpp pins this on all seven implementation styles.
+// The same contract is what a resumed acquisition relies on: it re-folds
+// its committed traces in index order (jobs/resilient.h), so the
+// accumulator needs no byte format of its own.
 //
 // `merge()` uses Chan's parallel combination rule. Merged moments are
 // algebraically exact but follow a different floating-point op order than
@@ -65,17 +68,6 @@ class ClassCondAccumulator {
   /// debiased estimator subtracts (core/leakage.h). Classes with fewer than
   /// two traces contribute zero, exactly as the batch path computed it.
   std::vector<double> noiseFloorPerSample() const;
-
-  /// Appends the accumulator's exact state (shape, per-class counts, means,
-  /// M2) to `out` in host byte order. deserialize() restores it bit-exactly,
-  /// so a checkpointed estimator resumes on the identical floating-point
-  /// trajectory (jobs/checkpoint.h).
-  void serialize(std::vector<std::uint8_t>& out) const;
-
-  /// Reads state written by serialize() from buf[pos..size), advancing
-  /// `pos`. Returns false (leaving *this unspecified) on truncation.
-  bool deserialize(const std::uint8_t* buf, std::size_t size,
-                   std::size_t& pos);
 
  private:
   std::uint32_t numSamples_;

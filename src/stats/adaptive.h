@@ -20,7 +20,8 @@
 // stops early returns a prefix of the traces the maxTraces run would
 // return. The nested-derivation pattern mirrors the fault campaign's (~1
 // domain); the substream family so far:
-//   ~0 = schedule shuffle, ~1 = fault campaign, ~2 = adaptive batches.
+//   ~0 = schedule shuffle, ~1 = fault campaign, ~2 = adaptive batches,
+//   ~3 = quarantine spot-check (jobs::kSpotCheckStream).
 //
 // The loop simulates W batches per call and folds them one at a time with
 // the stop rule after each, discarding batches past the stop (the window

@@ -18,10 +18,14 @@
 //
 // The fold accumulators are combined with Chan's rule (stats/accumulator.h);
 // only the *global* accumulator carries the bit-identity contract.
+//
+// The estimator is a pure function of its traces and their order: folding
+// the same labelled traces in index order rebuilds it bit for bit, folds
+// included. That is how a resumed acquisition restores it (jobs/resilient.h)
+// — there is no estimator snapshot.
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/leakage.h"
@@ -102,17 +106,6 @@ class StreamingLeakage {
   /// leakage; replicate b draws folds from Prng(deriveStreamSeed(seed, b)).
   AggregateCi bootstrapTotalCi(std::uint64_t seed,
                                std::uint32_t replicates = 200) const;
-
-  /// Exact byte snapshot of the estimator (options, global accumulator,
-  /// every fold, the insertion counter). Restoring it with deserialize()
-  /// and folding the remaining traces is bit-identical to never having
-  /// stopped — the resume invariant of jobs/checkpoint.h.
-  std::vector<std::uint8_t> serialize() const;
-
-  /// Rebuilds an estimator from serialize() bytes; std::nullopt on a torn
-  /// or malformed buffer.
-  static std::optional<StreamingLeakage> deserialize(
-      const std::uint8_t* buf, std::size_t size);
 
  private:
   /// Accumulator holding all folds except `skip` (numFolds_ for "none").

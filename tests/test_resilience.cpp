@@ -1,7 +1,10 @@
 // Tier-1 tests for the durability layer (jobs/): checkpoint file format,
-// estimator state serialization, acquireRange slicing, crash-safe
-// checkpoint/resume (including a real SIGKILL kill-harness), deadlines,
-// retry/escalation, and engine quarantine.
+// acquireRange slicing, crash-safe checkpoint/resume (including a real
+// SIGKILL kill-harness), deadlines, retry/escalation, and engine
+// quarantine. A checkpoint holds traces, not estimator state, so every
+// resume test compares the whole LeakageEstimate, bit for bit, with the
+// uninterrupted run's: that is what shows the re-fold on resume performs
+// the uninterrupted run's arithmetic.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +12,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <csignal>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/experiment.h"
@@ -45,6 +50,78 @@ ExperimentConfig smallConfig() {
 
 constexpr stats::StreamingLeakage::Options kFourFolds{
     EstimatorMode::Debiased, /*numFolds=*/4, 0.95};
+
+/// Success iff every field of two estimates (totals, every CI, the per-u
+/// coefficients) has the same bit pattern.
+::testing::AssertionResult sameEstimate(const stats::LeakageEstimate& a,
+                                        const stats::LeakageEstimate& b) {
+  const auto differs = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) != std::bit_cast<std::uint64_t>(y);
+  };
+  const auto ciDiffers = [&](const stats::AggregateCi& x,
+                             const stats::AggregateCi& y) {
+    return differs(x.estimate, y.estimate) ||
+           differs(x.halfWidth, y.halfWidth) ||
+           differs(x.relHalfWidth, y.relHalfWidth);
+  };
+  if (a.traces != b.traces || a.minClassCount != b.minClassCount ||
+      a.mode != b.mode || differs(a.confidence, b.confidence)) {
+    return ::testing::AssertionFailure()
+           << "traces " << a.traces << " vs " << b.traces << ", min class "
+           << a.minClassCount << " vs " << b.minClassCount;
+  }
+  if (differs(a.total, b.total) || differs(a.singleBit, b.singleBit) ||
+      differs(a.multiBit, b.multiBit) ||
+      differs(a.singleBitRatio, b.singleBitRatio)) {
+    return ::testing::AssertionFailure()
+           << "point estimates differ: total " << a.total << " vs "
+           << b.total;
+  }
+  if (ciDiffers(a.totalCi, b.totalCi) ||
+      ciDiffers(a.singleBitCi, b.singleBitCi) ||
+      ciDiffers(a.multiBitCi, b.multiBitCi)) {
+    return ::testing::AssertionFailure()
+           << "aggregate CIs differ: total +-" << a.totalCi.halfWidth
+           << " vs +-" << b.totalCi.halfWidth;
+  }
+  if (a.coefficients.size() != b.coefficients.size()) {
+    return ::testing::AssertionFailure()
+           << a.coefficients.size() << " vs " << b.coefficients.size()
+           << " coefficients";
+  }
+  for (std::size_t u = 0; u < a.coefficients.size(); ++u) {
+    if (differs(a.coefficients[u].energy, b.coefficients[u].energy) ||
+        differs(a.coefficients[u].halfWidth, b.coefficients[u].halfWidth)) {
+      return ::testing::AssertionFailure()
+             << "coefficient u=" << u << ": " << a.coefficients[u].energy
+             << " +-" << a.coefficients[u].halfWidth << " vs "
+             << b.coefficients[u].energy << " +-"
+             << b.coefficients[u].halfWidth;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+void writeFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void appendU64(std::string& bytes, std::uint64_t v) {
+  bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// Appends the whole-file checksum a checkpoint closes with.
+void appendChecksum(std::string& bytes) {
+  appendU64(bytes, jobs::digestOfBytes(bytes.data(), bytes.size()));
+}
 
 // ---------------------------------------------------------------- slicing
 
@@ -100,9 +177,6 @@ jobs::Checkpoint sampleCheckpoint() {
   cp.traces.add(9, {0.5, -0.25, 1e-12});
   cp.traces.add(0, {0.0, 0.0, 7.0});
   cp.traces.add(15, {-1.0, 2.5, 3.5});
-  stats::StreamingLeakage stream(3, kFourFolds);
-  stream.addTraceSet(cp.traces);
-  cp.streamState = stream.serialize();
   return cp;
 }
 
@@ -124,7 +198,6 @@ TEST(Checkpoint, SaveLoadRoundTrips) {
   EXPECT_EQ(back->groupDigests, cp.groupDigests);
   EXPECT_EQ(back->lineage, cp.lineage);
   EXPECT_TRUE(sameTraceSet(back->traces, cp.traces));
-  EXPECT_EQ(back->streamState, cp.streamState);
   std::remove(path.c_str());
 }
 
@@ -138,21 +211,12 @@ TEST(Checkpoint, MissingFileIsAbsent) {
 TEST(Checkpoint, TornAndCorruptFilesRejected) {
   const std::string path = tmpPath("lpa_ckpt_torn.bin");
   jobs::saveCheckpoint(path, sampleCheckpoint());
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    bytes = ss.str();
-  }
+  const std::string bytes = readFile(path);
   ASSERT_GT(bytes.size(), 32u);
 
   // A torn tail (crash mid-write without the atomic rename) must load as
   // "absent", never as a shorter run.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-  }
+  writeFile(path, bytes.substr(0, bytes.size() / 2));
   std::string whyNot;
   EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot));
   EXPECT_NE(whyNot, "");
@@ -160,51 +224,43 @@ TEST(Checkpoint, TornAndCorruptFilesRejected) {
   // A single flipped payload byte fails the whole-file checksum.
   std::string corrupt = bytes;
   corrupt[bytes.size() / 2] ^= 0x40;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
-  }
+  writeFile(path, corrupt);
   EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot));
   EXPECT_NE(whyNot, "");
 
   // Garbage that keeps the magic but not the structure.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "LPACKPT1 this is not a checkpoint";
-  }
+  writeFile(path, std::string(jobs::kCheckpointMagic,
+                              sizeof(jobs::kCheckpointMagic)) +
+                      " this is not a checkpoint");
   EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot));
   std::remove(path.c_str());
 }
 
-// ----------------------------------------------------- estimator snapshot
+// A lineage entry is at least its 8-byte length, so a count above
+// remaining/8 is rejected before anything is reserved for it, even in a
+// file whose checksum is valid.
+TEST(Checkpoint, OversizedLineageCountRejected) {
+  const std::string path = tmpPath("lpa_ckpt_lineage.bin");
+  for (const std::uint64_t count : {9ULL, 64ULL, ~0ULL}) {
+    std::string bytes(jobs::kCheckpointMagic, sizeof(jobs::kCheckpointMagic));
+    appendU64(bytes, 0xFEEDFACE12345678ULL);  // fingerprint
+    appendU64(bytes, 42);                     // seed
+    const std::uint32_t numSamples = 3, groupTraces = 2;
+    bytes.append(reinterpret_cast<const char*>(&numSamples), 4);
+    bytes.append(reinterpret_cast<const char*>(&groupTraces), 4);
+    appendU64(bytes, 5);  // groups total
+    appendU64(bytes, 0);  // completed groups
+    appendU64(bytes, 0);  // group digests
+    appendU64(bytes, count);
+    bytes.append(64, '\0');  // room for 8 empty entries, not `count`
+    appendChecksum(bytes);
+    writeFile(path, bytes);
 
-TEST(StreamState, StreamingLeakageRoundTripContinuesBitIdentically) {
-  ExperimentConfig ecfg = smallConfig();
-  SboxExperiment exp(SboxStyle::Opt, ecfg);
-  const TraceSet traces = exp.acquireAt(0.0);
-  ASSERT_EQ(traces.size(), 128u);
-
-  // Fold half, snapshot, restore, fold the rest on both estimators.
-  stats::StreamingLeakage live(traces.numSamples(), kFourFolds);
-  for (std::size_t i = 0; i < 64; ++i) live.addTrace(traces.label(i), traces.trace(i));
-  const std::vector<std::uint8_t> snap = live.serialize();
-  auto restored = stats::StreamingLeakage::deserialize(snap.data(), snap.size());
-  ASSERT_TRUE(restored.has_value());
-  for (std::size_t i = 64; i < traces.size(); ++i) {
-    live.addTrace(traces.label(i), traces.trace(i));
-    restored->addTrace(traces.label(i), traces.trace(i));
+    std::string whyNot;
+    EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot)) << count;
+    EXPECT_EQ(whyNot, "lineage count inconsistent") << count;
   }
-  const stats::LeakageEstimate a = live.estimate();
-  const stats::LeakageEstimate b = restored->estimate();
-  EXPECT_EQ(a.total, b.total);
-  EXPECT_EQ(a.totalCi.halfWidth, b.totalCi.halfWidth);
-  EXPECT_EQ(a.singleBit, b.singleBit);
-  EXPECT_EQ(a.traces, b.traces);
-
-  // Torn snapshots are rejected, not misread.
-  EXPECT_FALSE(
-      stats::StreamingLeakage::deserialize(snap.data(), snap.size() - 1));
-  EXPECT_FALSE(stats::StreamingLeakage::deserialize(snap.data(), 4));
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------- resilient runner
@@ -234,11 +290,19 @@ TEST(ResilientAcquire, MatchesPlainAcquire) {
   EXPECT_EQ(res.estimate.total, stream.estimate().total);
 }
 
+// On RSM, whose traces vary within a class (OPT's do not), so the
+// estimate's bits depend on the order the resume folds the traces in.
 TEST(ResilientAcquire, DrainStopAndResumeBitIdentical) {
   ExperimentConfig ecfg = smallConfig();
-  SboxExperiment plain(SboxStyle::Opt, ecfg);
+  SboxExperiment plain(SboxStyle::Rsm, ecfg);
   const std::uint64_t expected =
       jobs::digestOfTraceSet(plain.acquireAt(0.0));
+  jobs::JobConfig uninterrupted;
+  uninterrupted.groupTraces = 32;
+  uninterrupted.statsOpt = kFourFolds;
+  const stats::LeakageEstimate expectedEstimate =
+      plain.resilientAcquireAt(0.0, uninterrupted).estimate;
+  ASSERT_TRUE(expectedEstimate.totalCi.resolved());
 
   const SimEngine engines[] = {SimEngine::Reference, SimEngine::Batch};
   for (SimEngine firstEngine : engines) {
@@ -255,7 +319,7 @@ TEST(ResilientAcquire, DrainStopAndResumeBitIdentical) {
       ExperimentConfig cfg = ecfg;
       cfg.acquisition.engine = firstEngine;
       cfg.acquisition.numThreads = threads;
-      SboxExperiment first(SboxStyle::Opt, cfg);
+      SboxExperiment first(SboxStyle::Rsm, cfg);
       const jobs::ResilientResult half = first.resilientAcquireAt(0.0, job);
       EXPECT_TRUE(half.resilience.truncated);
       EXPECT_EQ(half.resilience.stopReason, "drain");
@@ -271,13 +335,16 @@ TEST(ResilientAcquire, DrainStopAndResumeBitIdentical) {
                                     ? SimEngine::Batch
                                     : SimEngine::Reference;
       cfg2.acquisition.numThreads = threads == 1 ? 2 : 1;
-      SboxExperiment second(SboxStyle::Opt, cfg2);
+      SboxExperiment second(SboxStyle::Rsm, cfg2);
       const jobs::ResilientResult full = second.resilientAcquireAt(0.0, rest);
       EXPECT_TRUE(full.resilience.resumed);
       EXPECT_FALSE(full.resilience.truncated);
       EXPECT_EQ(full.resilience.stopReason, "completed");
       EXPECT_EQ(full.resilience.groupsCompleted, 4u);
       EXPECT_EQ(jobs::digestOfTraceSet(full.traces), expected)
+          << "engine " << static_cast<int>(firstEngine) << " threads "
+          << threads;
+      EXPECT_TRUE(sameEstimate(full.estimate, expectedEstimate))
           << "engine " << static_cast<int>(firstEngine) << " threads "
           << threads;
       // Lineage accumulated across both sessions.
@@ -310,6 +377,47 @@ TEST(ResilientAcquire, ForeignCheckpointIsIgnored) {
   SboxExperiment plain(SboxStyle::Opt, other);
   EXPECT_EQ(jobs::digestOfTraceSet(res.traces),
             jobs::digestOfTraceSet(plain.acquireAt(0.0)));
+  std::remove(path.c_str());
+}
+
+// A checkpoint of the earlier format (`LPACKPT1`: the same fields plus a
+// trailing estimator snapshot) fails the magic check; the run starts fresh
+// and replaces it with a current one.
+TEST(ResilientAcquire, ParentFormatCheckpointIsIgnored) {
+  ExperimentConfig ecfg = smallConfig();
+  const std::string path = tmpPath("lpa_resume_parent_format.ckpt");
+  jobs::JobConfig job;
+  job.checkpointPath = path;
+  job.groupTraces = 32;
+  job.stopAfterGroups = 2;
+  SboxExperiment first(SboxStyle::Opt, ecfg);
+  (void)first.resilientAcquireAt(0.0, job);
+
+  std::string bytes = readFile(path);
+  ASSERT_GT(bytes.size(), 16u);
+  bytes.resize(bytes.size() - sizeof(std::uint64_t));  // drop the checksum
+  bytes[7] = '1';
+  const std::string snapshot(256, '\x5a');
+  appendU64(bytes, snapshot.size());
+  bytes += snapshot;
+  appendChecksum(bytes);
+  writeFile(path, bytes);
+  std::string whyNot;
+  EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot));
+  EXPECT_EQ(whyNot, "bad magic");
+
+  jobs::JobConfig rest = job;
+  rest.stopAfterGroups = 0;
+  SboxExperiment second(SboxStyle::Opt, ecfg);
+  const jobs::ResilientResult res = second.resilientAcquireAt(0.0, rest);
+  EXPECT_FALSE(res.resilience.resumed);
+  EXPECT_EQ(res.resilience.groupsCompleted, 4u);
+  SboxExperiment plain(SboxStyle::Opt, ecfg);
+  EXPECT_EQ(jobs::digestOfTraceSet(res.traces),
+            jobs::digestOfTraceSet(plain.acquireAt(0.0)));
+  const auto current = jobs::loadCheckpoint(path, &whyNot);
+  ASSERT_TRUE(current.has_value()) << whyNot;
+  EXPECT_EQ(current->completedGroups, 4u);
   std::remove(path.c_str());
 }
 
@@ -500,6 +608,50 @@ TEST(ResilientAcquire, SpotCheckMismatchQuarantinesAndRepairs) {
   EXPECT_EQ(jobs::digestOfTraceSet(res.traces), expected);
 }
 
+// Group 0 is repaired by the spot-check and the run drains right after
+// it, so the checkpoint holds the repaired bits and the resume's re-fold
+// must see exactly those: traces and estimate equal the clean run's.
+TEST(ResilientAcquire, DrainAfterRepairedGroupResumesOnRepairedBits) {
+  ExperimentConfig ecfg = smallConfig();
+  jobs::JobConfig clean;
+  clean.groupTraces = 32;
+  clean.statsOpt = kFourFolds;
+  SboxExperiment plain(SboxStyle::Rsm, ecfg);
+  const jobs::ResilientResult expected = plain.resilientAcquireAt(0.0, clean);
+
+  const std::string path = tmpPath("lpa_resume_repaired.ckpt");
+  jobs::JobConfig job = clean;
+  job.checkpointPath = path;
+  job.spotCheckEveryGroups = 1;
+  job.stopAfterGroups = 1;
+  job.perturbHook = [](TraceSet& group, std::uint64_t, SimEngine ranWith) {
+    if (ranWith == SimEngine::Reference) return;
+    std::vector<double> samples(group.trace(0),
+                                group.trace(0) + group.numSamples());
+    samples[0] += 1.0;
+    group.set(0, group.label(0), samples.data());
+  };
+  ExperimentConfig cfg = ecfg;
+  cfg.acquisition.engine = SimEngine::Batch;
+  SboxExperiment first(SboxStyle::Rsm, cfg);
+  const jobs::ResilientResult half = first.resilientAcquireAt(0.0, job);
+  ASSERT_EQ(half.resilience.stopReason, "drain");
+  ASSERT_EQ(half.resilience.groupsCompleted, 1u);
+  ASSERT_EQ(half.resilience.events.size(), 1u);
+  EXPECT_EQ(half.resilience.events[0].reason, "spot-check-mismatch");
+
+  // The resumed session starts on the fast engine again, so its groups
+  // are repaired the same way.
+  job.stopAfterGroups = 0;
+  SboxExperiment second(SboxStyle::Rsm, cfg);
+  const jobs::ResilientResult res = second.resilientAcquireAt(0.0, job);
+  EXPECT_TRUE(res.resilience.resumed);
+  EXPECT_EQ(res.resilience.groupsCompleted, 4u);
+  EXPECT_TRUE(sameTraceSet(res.traces, expected.traces));
+  EXPECT_TRUE(sameEstimate(res.estimate, expected.estimate));
+  std::remove(path.c_str());
+}
+
 TEST(ResilientAcquire, RepeatedDivergenceQuarantinesEngine) {
   ExperimentConfig ecfg = smallConfig();
   SboxExperiment plain(SboxStyle::Opt, ecfg);
@@ -618,6 +770,12 @@ TEST(KillHarness, SigkillMidRunResumesBitIdentically) {
     SboxExperiment plain(style, ecfg);
     const std::uint64_t expected =
         jobs::digestOfTraceSet(plain.acquireAt(0.0));
+    jobs::JobConfig uninterrupted;
+    uninterrupted.groupTraces = 32;
+    const stats::LeakageEstimate expectedEstimate =
+        plain.resilientAcquireAt(0.0, uninterrupted).estimate;
+    ASSERT_EQ(expectedEstimate.traces, 128u);
+    ASSERT_TRUE(expectedEstimate.totalCi.resolved());
 
     const SimEngine engines[] = {SimEngine::Reference, SimEngine::Batch};
     for (SimEngine engine : engines) {
@@ -671,6 +829,9 @@ TEST(KillHarness, SigkillMidRunResumesBitIdentically) {
         EXPECT_TRUE(res.resilience.resumed);
         EXPECT_EQ(res.resilience.groupsCompleted, 4u);
         EXPECT_EQ(jobs::digestOfTraceSet(res.traces), expected)
+            << (adaptive ? "adaptive" : "fixed") << " engine "
+            << static_cast<int>(engine) << " threads " << threads;
+        EXPECT_TRUE(sameEstimate(res.estimate, expectedEstimate))
             << (adaptive ? "adaptive" : "fixed") << " engine "
             << static_cast<int>(engine) << " threads " << threads;
         std::remove(path.c_str());
