@@ -110,10 +110,6 @@ FaultCampaignResult runFaultCampaign(const MaskedSbox& sbox,
   }
 
   result.reports.resize(faults.size());
-  if (cfg.keepFaultTraces) {
-    result.faultTraces.assign(faults.size(),
-                              TraceSet(power.options().numSamples));
-  }
   if (faults.empty()) return result;
 
   const FaultInjector injector(base, delays);
@@ -237,7 +233,6 @@ FaultCampaignResult runFaultCampaign(const MaskedSbox& sbox,
       report.singleBitLeakage = sa.totalSingleBitLeakage();
     }
     result.reports[j] = std::move(report);
-    if (cfg.keepFaultTraces) result.faultTraces[j] = std::move(traces);
   };
   const auto describe = [&](std::size_t j) {
     return "fault " + std::to_string(j) + " (" +

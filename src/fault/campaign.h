@@ -90,7 +90,6 @@ struct FaultCampaignConfig {
   /// SimDiverged classification instead of hanging the campaign.
   std::uint64_t maxEventsPerRun = 1u << 20;
   bool analyzeLeakage = true;   ///< fill the per-fault WHT leakage fields
-  bool keepFaultTraces = false; ///< retain each fault's TraceSet
   EstimatorMode estimator = EstimatorMode::Debiased;
   /// Route campaign instrumentation (sim.* counters of every faulted run,
   /// fault.outcome.* tallies) into obs::MetricsRegistry::global(). A pure
@@ -119,8 +118,6 @@ struct FaultCampaignResult {
   double baselineTotalLeakage = 0.0;
   double baselineSingleBitLeakage = 0.0;
   std::vector<FaultReport> reports;  ///< one per fault, in input order
-  /// Per-fault trace sets when FaultCampaignConfig::keepFaultTraces.
-  std::vector<TraceSet> faultTraces;
   /// True when the deadline cut the fault loop short; `reports` then holds
   /// default entries (completed == false) for the unreached faults.
   bool truncated = false;

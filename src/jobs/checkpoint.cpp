@@ -1,9 +1,12 @@
 #include "jobs/checkpoint.h"
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
-#include "jobs/trace_digest.h"
 #include "obs/fsio.h"
 
 namespace lpa::jobs {
@@ -11,26 +14,23 @@ namespace lpa::jobs {
 namespace {
 
 // Host byte order throughout: a checkpoint is a same-machine artifact.
-void putBytes(std::vector<std::uint8_t>& out, const void* data,
-              std::size_t n) {
-  const std::size_t at = out.size();
-  out.resize(at + n);
-  std::memcpy(out.data() + at, data, n);
+template <typename T>
+void put(std::string& out, T v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
+/// Reads a T at buf + pos, advancing `pos` (the caller sized buf).
 template <typename T>
-void put(std::vector<std::uint8_t>& out, T v) {
-  putBytes(out, &v, sizeof(v));
-}
-
-/// Reads a T from buf[pos..size), advancing `pos`; false on truncation.
-template <typename T>
-bool get(const std::uint8_t* buf, std::size_t size, std::size_t& pos, T& v) {
-  if (pos > size || size - pos < sizeof(T)) return false;
+T get(const std::uint8_t* buf, std::size_t& pos) {
+  T v;
   std::memcpy(&v, buf + pos, sizeof(T));
   pos += sizeof(T);
-  return true;
+  return v;
 }
+
+constexpr std::size_t kHeaderBody = sizeof(kCheckpointMagic) + 8 + 8 + 4 +
+                                    4 + 8;  // everything but the checksum
+constexpr std::size_t kHeaderBytes = kHeaderBody + sizeof(std::uint64_t);
 
 std::optional<Checkpoint> fail(std::string* whyNot, const char* reason) {
   if (whyNot) *whyNot = reason;
@@ -39,131 +39,114 @@ std::optional<Checkpoint> fail(std::string* whyNot, const char* reason) {
 
 }  // namespace
 
-void saveCheckpoint(const std::string& path, const Checkpoint& cp) {
-  std::vector<std::uint8_t> buf;
-  putBytes(buf, kCheckpointMagic, sizeof(kCheckpointMagic));
-  put<std::uint64_t>(buf, cp.fingerprint);
-  put<std::uint64_t>(buf, cp.seed);
-  put<std::uint32_t>(buf, cp.numSamples);
-  put<std::uint32_t>(buf, cp.groupTraces);
-  put<std::uint64_t>(buf, cp.groupsTotal);
-  put<std::uint64_t>(buf, cp.completedGroups);
-  put<std::uint64_t>(buf, cp.groupDigests.size());
-  for (std::uint64_t d : cp.groupDigests) put<std::uint64_t>(buf, d);
-  put<std::uint64_t>(buf, cp.lineage.size());
-  for (const std::string& s : cp.lineage) {
-    put<std::uint64_t>(buf, s.size());
-    putBytes(buf, s.data(), s.size());
-  }
-  put<std::uint64_t>(buf, cp.traces.size());
-  for (std::size_t i = 0; i < cp.traces.size(); ++i) {
-    buf.push_back(cp.traces.label(i));
-    putBytes(buf, cp.traces.trace(i), cp.numSamples * sizeof(double));
-  }
-  put<std::uint64_t>(buf, digestOfBytes(buf.data(), buf.size()));
+std::string lineageEntry(std::uint64_t k, std::uint64_t n,
+                         const DigestAccumulator& prefix) {
+  return "g" + std::to_string(k) + "/" + std::to_string(n) + ":" +
+         prefix.hex();
+}
 
-  obs::atomicWriteFile(
-      path, std::string(reinterpret_cast<const char*>(buf.data()),
-                        buf.size()));
+void startCheckpoint(const std::string& path, const CheckpointHeader& header) {
+  std::string buf(kCheckpointMagic, sizeof(kCheckpointMagic));
+  put<std::uint64_t>(buf, header.fingerprint);
+  put<std::uint64_t>(buf, header.seed);
+  put<std::uint32_t>(buf, header.numSamples);
+  put<std::uint32_t>(buf, header.groupTraces);
+  put<std::uint64_t>(buf, header.totalTraces);
+  put<std::uint64_t>(buf, digestOfBytes(buf.data(), buf.size()));
+  obs::atomicWriteFile(path, buf);
+}
+
+void appendCheckpointGroup(const std::string& path, const TraceSet& ts,
+                           std::size_t begin, std::size_t end) {
+  const std::size_t sampleBytes = ts.numSamples() * sizeof(double);
+  std::string buf;
+  buf.reserve((end - begin) * (1 + sampleBytes) + sizeof(std::uint64_t));
+  for (std::size_t i = begin; i < end; ++i) {
+    buf.push_back(static_cast<char>(ts.label(i)));
+    buf.append(reinterpret_cast<const char*>(ts.trace(i)), sampleBytes);
+  }
+  put<std::uint64_t>(buf, digestOfRange(ts, begin, end));
+  obs::durableAppend(path, buf);
 }
 
 std::optional<Checkpoint> loadCheckpoint(const std::string& path,
                                          std::string* whyNot) {
   if (whyNot) whyNot->clear();
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
   if (!f) return fail(whyNot, "no checkpoint file");
-  std::vector<std::uint8_t> buf;
-  {
-    std::uint8_t chunk[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-      buf.insert(buf.end(), chunk, chunk + got);
-    }
-    const bool readError = std::ferror(f) != 0;
-    std::fclose(f);
-    if (readError) return fail(whyNot, "read error");
-  }
+  struct stat st;
+  if (::fstat(::fileno(f.get()), &st) != 0) return fail(whyNot, "stat error");
+  const std::uint64_t size = static_cast<std::uint64_t>(st.st_size);
 
-  const std::size_t size = buf.size();
-  if (size < sizeof(kCheckpointMagic) + sizeof(std::uint64_t)) {
-    return fail(whyNot, "file too short");
+  std::uint8_t head[kHeaderBytes];
+  if (size < kHeaderBytes ||
+      std::fread(head, 1, kHeaderBytes, f.get()) != kHeaderBytes) {
+    return fail(whyNot, "file too short for a header");
   }
-  if (std::memcmp(buf.data(), kCheckpointMagic, sizeof(kCheckpointMagic)) !=
-      0) {
+  if (std::memcmp(head, kCheckpointMagic, sizeof(kCheckpointMagic)) != 0) {
     return fail(whyNot, "bad magic");
   }
-  // Whole-file checksum first: any torn tail or flipped byte fails here
-  // before we interpret a single length field.
-  const std::size_t body = size - sizeof(std::uint64_t);
-  std::uint64_t storedSum = 0;
-  {
-    std::size_t pos = body;
-    if (!get(buf.data(), size, pos, storedSum)) {
-      return fail(whyNot, "file too short");
-    }
-  }
-  if (digestOfBytes(buf.data(), body) != storedSum) {
-    return fail(whyNot, "checksum mismatch (torn or corrupt file)");
-  }
-
-  Checkpoint cp;
   std::size_t pos = sizeof(kCheckpointMagic);
-  std::uint64_t numDigests = 0, numLineage = 0, numTraces = 0;
-  if (!get(buf.data(), body, pos, cp.fingerprint) ||
-      !get(buf.data(), body, pos, cp.seed) ||
-      !get(buf.data(), body, pos, cp.numSamples) ||
-      !get(buf.data(), body, pos, cp.groupTraces) ||
-      !get(buf.data(), body, pos, cp.groupsTotal) ||
-      !get(buf.data(), body, pos, cp.completedGroups) ||
-      !get(buf.data(), body, pos, numDigests)) {
-    return fail(whyNot, "truncated header");
+  Checkpoint cp;
+  CheckpointHeader& h = cp.header;
+  h.fingerprint = get<std::uint64_t>(head, pos);
+  h.seed = get<std::uint64_t>(head, pos);
+  h.numSamples = get<std::uint32_t>(head, pos);
+  h.groupTraces = get<std::uint32_t>(head, pos);
+  h.totalTraces = get<std::uint64_t>(head, pos);
+  if (get<std::uint64_t>(head, pos) != digestOfBytes(head, kHeaderBody)) {
+    return fail(whyNot, "header checksum mismatch");
   }
-  if (cp.numSamples == 0) return fail(whyNot, "zero samples per trace");
-  if (numDigests != cp.completedGroups ||
-      numDigests > (body - pos) / sizeof(std::uint64_t)) {
-    return fail(whyNot, "group-digest count inconsistent");
+  if (h.numSamples == 0 || h.groupTraces == 0) {
+    return fail(whyNot, "zero samples or traces per group");
   }
-  cp.groupDigests.resize(numDigests);
-  for (std::uint64_t i = 0; i < numDigests; ++i) {
-    if (!get(buf.data(), body, pos, cp.groupDigests[i])) {
-      return fail(whyNot, "truncated group digests");
+  const std::uint64_t groupsTotal = h.totalTraces / h.groupTraces +
+                                    (h.totalTraces % h.groupTraces != 0);
+
+  // Adopt whole records while their digests verify. Each record's size is
+  // checked against the bytes left before anything is allocated for it.
+  cp.bytes = kHeaderBytes;
+  cp.traces = TraceSet(h.numSamples);
+  const std::size_t sampleBytes = h.numSamples * sizeof(double);
+  const std::uint64_t traceBytes = 1 + sampleBytes;
+  std::vector<std::uint8_t> record;
+  std::vector<double> samples;
+  while (cp.completedGroups < groupsTotal) {
+    const std::uint64_t begin = cp.completedGroups * h.groupTraces;
+    const std::uint64_t n =
+        std::min<std::uint64_t>(h.groupTraces, h.totalTraces - begin);
+    const std::uint64_t left = size - cp.bytes;
+    if (left < sizeof(std::uint64_t) ||
+        n > (left - sizeof(std::uint64_t)) / traceBytes) {
+      break;  // torn tail
     }
-  }
-  // Every lineage entry carries at least its 8-byte length.
-  if (!get(buf.data(), body, pos, numLineage) ||
-      numLineage > (body - pos) / sizeof(std::uint64_t)) {
-    return fail(whyNot, "lineage count inconsistent");
-  }
-  cp.lineage.reserve(numLineage);
-  for (std::uint64_t i = 0; i < numLineage; ++i) {
-    std::uint64_t len = 0;
-    if (!get(buf.data(), body, pos, len) || len > body - pos) {
-      return fail(whyNot, "truncated lineage entry");
+    record.resize(n * traceBytes + sizeof(std::uint64_t));
+    if (std::fread(record.data(), 1, record.size(), f.get()) !=
+        record.size()) {
+      break;
     }
-    cp.lineage.emplace_back(reinterpret_cast<const char*>(buf.data() + pos),
-                            len);
-    pos += len;
-  }
-  const std::size_t traceBytes =
-      1 + static_cast<std::size_t>(cp.numSamples) * sizeof(double);
-  if (!get(buf.data(), body, pos, numTraces) ||
-      numTraces > (body - pos) / traceBytes) {
-    return fail(whyNot, "trace count inconsistent");
-  }
-  cp.traces = TraceSet(cp.numSamples);
-  cp.traces.reserve(numTraces);
-  for (std::uint64_t i = 0; i < numTraces; ++i) {
-    const std::uint8_t label = buf[pos++];
-    if (label >= cp.traces.numClasses()) {
-      return fail(whyNot, "trace label out of range");
+    samples.resize(h.numSamples);
+    cp.traces.resize(begin + n);
+    bool ok = true;
+    for (std::uint64_t i = 0; ok && i < n; ++i) {
+      const std::uint8_t* trace = record.data() + i * traceBytes;
+      ok = trace[0] < cp.traces.numClasses();
+      std::memcpy(samples.data(), trace + 1, sampleBytes);
+      if (ok) cp.traces.set(begin + i, trace[0], samples.data());
     }
-    std::vector<double> samples(cp.numSamples);
-    std::memcpy(samples.data(), buf.data() + pos,
-                cp.numSamples * sizeof(double));
-    pos += cp.numSamples * sizeof(double);
-    cp.traces.add(label, std::move(samples));
+    std::size_t at = n * traceBytes;
+    if (!ok || get<std::uint64_t>(record.data(), at) !=
+                   digestOfRange(cp.traces, begin, begin + n)) {
+      cp.traces.resize(begin);
+      break;  // corrupt record
+    }
+    cp.prefix.addRange(cp.traces, begin, begin + n);
+    cp.bytes += record.size();
+    ++cp.completedGroups;
+    cp.lineage.push_back(
+        lineageEntry(cp.completedGroups, groupsTotal, cp.prefix));
   }
-  if (pos != body) return fail(whyNot, "trailing bytes after payload");
   return cp;
 }
 

@@ -10,6 +10,7 @@
 #include "jobs/trace_digest.h"
 #include "netlist/stats.h"
 #include "obs/event_journal.h"
+#include "obs/fsio.h"
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
 #include "sim/batch_sim.h"
@@ -146,54 +147,44 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
   info.groupsTotal = groupsTotal;
   info.groupTraces = static_cast<std::uint32_t>(groupTraces);
   info.stopReason.clear();
-  std::vector<std::uint64_t> groupDigests;
 
-  // ---- Resume: load, verify, and adopt a matching checkpoint. A stale,
-  // torn, or foreign checkpoint is ignored (fresh start), never trusted.
-  // The adopted traces are re-folded in index order: the floating-point
-  // operations the uninterrupted run performed, so the estimate, its fold
-  // membership and the adaptive stop decision are bit-identical.
+  // ---- Resume: adopt the verified prefix of this run's checkpoint and cut
+  // any torn or corrupt tail away before appending; any other file is
+  // replaced by a fresh header, never trusted. The adopted traces are
+  // re-folded in index order: the floating-point operations the
+  // uninterrupted run performed, so the estimate, its fold membership and
+  // the adaptive stop decision are bit-identical.
+  const bool durable = !job.checkpointPath.empty();
+  DigestAccumulator prefix;  // of the committed traces, for the lineage
   std::uint64_t g0 = 0;
-  if (!job.checkpointPath.empty()) {
-    std::string whyNot;
-    if (auto cp = loadCheckpoint(job.checkpointPath, &whyNot)) {
-      bool ok = cp->fingerprint == fingerprint && cp->seed == cfg.seed &&
-                cp->numSamples == numSamples &&
-                cp->groupTraces == groupTraces &&
-                cp->groupsTotal == groupsTotal &&
-                cp->completedGroups <= groupsTotal &&
-                cp->traces.size() == groupStart(cp->completedGroups);
-      for (std::uint64_t k = 0; ok && k < cp->completedGroups; ++k) {
-        if (digestOfRange(cp->traces, groupStart(k), groupStart(k + 1)) !=
-            cp->groupDigests[k]) {
-          ok = false;
-        }
-      }
-      if (ok) {
-        res.traces = std::move(cp->traces);
-        stream.addTraceSet(res.traces);
-        groupDigests = std::move(cp->groupDigests);
-        info.lineage = std::move(cp->lineage);
-        g0 = cp->completedGroups;
-        info.resumed = g0 > 0;
-        if (info.resumed) {
-          reg.counter("jobs.resumes").add(1);
-          obs::EventJournal::global().info(
-              "checkpoint-resume",
-              {{"groups", std::to_string(g0)},
-               {"of", std::to_string(groupsTotal)},
-               {"lineage",
-                info.lineage.empty() ? std::string() : info.lineage.back()}});
-          // Flow finish: the matching start was emitted by the process
-          // that wrote this checkpoint (same lineage-entry hash), so the
-          // exported traces of both processes draw one resume arrow.
-          if (!info.lineage.empty()) {
-            obs::TraceCollector& tc = obs::TraceCollector::global();
-            tc.recordFlow("checkpoint-resume", tc.nowUs(),
-                          flowIdOf(info.lineage.back()), /*start=*/false);
-          }
-        }
-      }
+  if (durable) {
+    const CheckpointHeader header{fingerprint, cfg.seed, numSamples,
+                                  static_cast<std::uint32_t>(groupTraces),
+                                  totalTraces};
+    std::optional<Checkpoint> cp = loadCheckpoint(job.checkpointPath);
+    if (cp && cp->header == header) {
+      obs::durableTruncate(job.checkpointPath, cp->bytes);
+      res.traces = std::move(cp->traces);
+      stream.addTraceSet(res.traces);
+      prefix = cp->prefix;
+      info.lineage = std::move(cp->lineage);
+      g0 = cp->completedGroups;
+      info.resumed = g0 > 0;
+    } else {
+      startCheckpoint(job.checkpointPath, header);
+    }
+    if (info.resumed) {
+      reg.counter("jobs.resumes").add(1);
+      obs::EventJournal::global().info("checkpoint-resume",
+                                       {{"groups", std::to_string(g0)},
+                                        {"of", std::to_string(groupsTotal)},
+                                        {"lineage", info.lineage.back()}});
+      // Flow finish: the matching start was emitted by the process that
+      // appended this group (same lineage-entry hash), so the exported
+      // traces of both processes draw one resume arrow.
+      obs::TraceCollector& tc = obs::TraceCollector::global();
+      tc.recordFlow("checkpoint-resume", tc.nowUs(),
+                    flowIdOf(info.lineage.back()), /*start=*/false);
     }
   }
 
@@ -276,40 +267,24 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
     place(acquireRange(sbox, sim, power, wcfg, begin, end), out, outBase);
   };
 
-  std::uint64_t lastCheckpointed = g0;
-  const auto writeCheckpoint = [&] {
-    if (job.checkpointPath.empty()) return;
-    Checkpoint cp;
-    cp.fingerprint = fingerprint;
-    cp.seed = cfg.seed;
-    cp.numSamples = numSamples;
-    cp.groupTraces = static_cast<std::uint32_t>(groupTraces);
-    cp.groupsTotal = groupsTotal;
-    cp.completedGroups = info.groupsCompleted;
-    cp.groupDigests = groupDigests;
-    DigestAccumulator prefix;
-    prefix.addTraceSet(res.traces);
-    info.lineage.push_back("g" + std::to_string(info.groupsCompleted) + "/" +
-                           std::to_string(groupsTotal) + ":" + prefix.hex());
-    // Flow start: a future process resuming from this checkpoint emits the
-    // matching finish (it re-hashes this very lineage entry).
-    {
-      obs::TraceCollector& tc = obs::TraceCollector::global();
-      tc.recordFlow("checkpoint-resume", tc.nowUs(),
-                    flowIdOf(info.lineage.back()), /*start=*/true);
-    }
-    cp.lineage = info.lineage;
-    cp.traces = res.traces;
-    saveCheckpoint(job.checkpointPath, cp);
-    lastCheckpointed = info.groupsCompleted;
+  /// Durably appends the group just committed, traces [begin, end), to
+  /// the checkpoint and extends the lineage by the prefix it completes.
+  const auto appendGroup = [&](std::uint64_t begin, std::uint64_t end) {
+    appendCheckpointGroup(job.checkpointPath, res.traces, begin, end);
+    prefix.addRange(res.traces, begin, end);
+    info.lineage.push_back(
+        lineageEntry(info.groupsCompleted, groupsTotal, prefix));
+    // Flow start: a future process resuming from this prefix emits the
+    // matching finish (its loader derives this very lineage entry).
+    obs::TraceCollector& tc = obs::TraceCollector::global();
+    tc.recordFlow("checkpoint-resume", tc.nowUs(),
+                  flowIdOf(info.lineage.back()), /*start=*/true);
     reg.counter("jobs.checkpoints_written").add(1);
     obs::EventJournal::global().info(
         "checkpoint-commit", {{"groups", std::to_string(info.groupsCompleted)},
                               {"of", std::to_string(groupsTotal)},
                               {"lineage", info.lineage.back()}});
   };
-  const std::uint32_t checkpointEvery =
-      job.checkpointPath.empty() ? 0 : std::max(job.checkpointEveryGroups, 1u);
 
   info.groupsCompleted = g0;
   stats::ConvergenceMonitor monitor({cfg.targetCiRel, /*minTraces=*/0});
@@ -352,14 +327,12 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
       break;
     }
 
-    // The window never runs past the next checkpoint write or drain point.
+    // A checkpointed run commits one group per call; a window never runs
+    // past the drain point.
     std::uint64_t window =
-        g < sequentialTo ? 1
-                         : std::min(groupsTotal - g, std::max(g, floorGroups));
-    if (checkpointEvery > 0) {
-      window = std::min<std::uint64_t>(
-          window, checkpointEvery - committedThisRun % checkpointEvery);
-    }
+        g < sequentialTo || durable
+            ? 1
+            : std::min(groupsTotal - g, std::max(g, floorGroups));
     if (job.stopAfterGroups > 0) {
       window = std::min(window, job.stopAfterGroups - committedThisRun);
     }
@@ -465,9 +438,6 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
       for (std::uint64_t i = begin; i < end; ++i) {
         stream.addTrace(res.traces.label(i), res.traces.trace(i));
       }
-      if (checkpointEvery > 0) {
-        groupDigests.push_back(digestOfRange(res.traces, begin, end));
-      }
       info.groupsCompleted = ++g;
       ++committedThisRun;
       reg.counter("jobs.groups_committed").add(1);
@@ -480,9 +450,7 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
           stopped = true;
         }
       }
-      if (checkpointEvery > 0 && committedThisRun % checkpointEvery == 0) {
-        writeCheckpoint();
-      }
+      if (durable) appendGroup(begin, end);
       // A stop, a quarantine or the deadline discards the rest.
       if (stopped || engine != ranWith || outOfTime()) break;
     }
@@ -500,7 +468,6 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
       "resilient-stop", {{"reason", info.stopReason},
                          {"groups", std::to_string(info.groupsCompleted)},
                          {"of", std::to_string(groupsTotal)}});
-  if (info.groupsCompleted != lastCheckpointed) writeCheckpoint();
   if (stream.traces() > 0 && !cfg.adaptive) res.estimate = stream.estimate();
   res.history = monitor.history();
   reg.gauge("jobs.groups_completed")

@@ -2,17 +2,19 @@
 // Durable acquisition: checkpoint/resume, deadlines, retry, quarantine
 // (DESIGN.md §12). `resilientAcquire` is the one acquisition loop for fixed
 // and convergence-gated runs — stats::adaptiveAcquire is an adapter over
-// it — and commits the run group by group, checkpointing the committed
-// prefix crash-safely (jobs/checkpoint.h), so a campaign survives SIGKILL,
-// preemption and transient worker failures without losing committed work.
+// it — and commits the run group by group. A checkpointed run appends
+// each committed group durably to its checkpoint log (jobs/checkpoint.h),
+// so a campaign survives SIGKILL, preemption and transient worker failures
+// without losing committed work.
 //
 // ## Resume invariant
 //
 // Group g is the schedule slice [g*groupTraces, ...) of a fixed run, or
 // batch g (under stats::adaptiveBatchSeed(seed, g)) of an adaptive one: a
 // pure function of (seed, g), never of wall clock, engine, thread count,
-// window or earlier groups. A resume re-folds the checkpoint's committed
-// traces in index order into a fresh estimator, the same fold the
+// window or earlier groups. A resume adopts the checkpoint's verified
+// prefix of whole groups (a torn or corrupt tail is cut away) and re-folds
+// those traces in index order into a fresh estimator, the same fold the
 // uninterrupted run made. So a resumed run's traces, estimate and digest
 // are bit-identical to the uninterrupted run's, and the checkpoint
 // fingerprint EXCLUDES engine and thread count but INCLUDES everything
@@ -26,9 +28,10 @@
 //   W = min(groups left, max(groups committed, ceil(2 * T * 64 / groupTraces)))
 //
 // — two 64-lane groups per worker, doubling as the run grows. A window
-// never runs past the next checkpoint write or stopAfterGroups drain point,
-// and is committed group by group: perturb hook, spot-check, fold, stop
-// rule, checkpoint cadence, deadline check. A stop, deadline or quarantine
+// never runs past the stopAfterGroups drain point, and is committed group
+// by group: perturb hook, spot-check, fold, stop rule, checkpoint append,
+// deadline check. A checkpointed run simulates one group per call (W = 1),
+// so every group is durable before the next one starts. A stop, deadline or quarantine
 // discards the rest of the window (`adaptive.traces_discarded`: fewer than
 // max(kept traces, 2 * T * 64)). Lanes are bit-identical to scalar runs,
 // so results do not depend on W.
@@ -93,7 +96,7 @@ struct ResilienceInfo {
   std::uint64_t retries = 0;     ///< retried group attempts (all causes)
   std::uint64_t spotChecks = 0;  ///< reference re-runs performed
   std::vector<QuarantineEvent> events;
-  /// "g<k>/<n>:<prefix digest>" per checkpoint written, across resumes.
+  /// "g<k>/<n>:<prefix digest>" per checkpointed group, across resumes.
   std::vector<std::string> lineage;
   /// "completed" | "ci-target" | "max-traces" | "deadline" | "drain".
   std::string stopReason = "completed";
@@ -101,15 +104,12 @@ struct ResilienceInfo {
 
 struct JobConfig {
   /// Checkpoint file ("" = run without durability; deadline/retry/
-  /// quarantine still apply).
+  /// quarantine still apply). Every committed group is appended to it.
   std::string checkpointPath;
   /// Traces per commit group for fixed-schedule runs (adaptive runs group
   /// by batch: groupTraces := cfg.batchSize). Any positive count works —
   /// slices need no class balance of their own.
   std::uint32_t groupTraces = 256;
-  /// Checkpoint cadence: write after every k-th committed group (a final
-  /// checkpoint is always written when the run stops with new work).
-  std::uint32_t checkpointEveryGroups = 1;
   RetryPolicy retry;
   /// Spot-check cadence: re-run ~1/k of committed fast-engine groups
   /// under Reference and digest-compare (0 = off). Which residue of k is
@@ -157,7 +157,7 @@ struct ResilientResult {
 
 /// Fingerprint binding a checkpoint to one logical run: netlist digest +
 /// style + protocol/estimator knobs + job.fingerprintExtra. Engine,
-/// thread count, deadline, cadence and retry knobs are excluded by
+/// thread count, deadline, spot-check and retry knobs are excluded by
 /// design (see the resume invariant above).
 std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
                                      const PowerModel& power,

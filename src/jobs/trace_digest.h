@@ -1,8 +1,8 @@
 #pragma once
 // Order-sensitive FNV-1a determinism digests over trace data — the single
 // digest definition shared by the benches (bench/bench_util.h aliases this
-// class), the checkpoint/resume layer (jobs/checkpoint.h, group commit
-// digests and the file checksum), the run fingerprint and lineage flow ids,
+// class), the checkpoint/resume layer (jobs/checkpoint.h, record and
+// header checksums), the run fingerprint and lineage flow ids,
 // and the engine-quarantine spot-check (jobs/resilient.h).
 //
 // The digest folds the exact IEEE-754 bit patterns of doubles, so equal
@@ -68,8 +68,8 @@ class DigestAccumulator {
   std::uint64_t hash_ = 0xCBF29CE484222325ULL;  // FNV offset basis
 };
 
-/// Digest of traces [begin, end) of `ts` (a checkpoint group's commit
-/// digest).
+/// Digest of traces [begin, end) of `ts` (a checkpoint record's
+/// checksum).
 inline std::uint64_t digestOfRange(const TraceSet& ts, std::size_t begin,
                                    std::size_t end) {
   DigestAccumulator d;
@@ -81,8 +81,8 @@ inline std::uint64_t digestOfTraceSet(const TraceSet& ts) {
   return digestOfRange(ts, 0, ts.size());
 }
 
-/// Plain FNV-1a over `n` bytes (a checkpoint file's checksum, a lineage
-/// entry's flow id).
+/// Plain FNV-1a over `n` bytes (a checkpoint header's checksum, a
+/// lineage entry's flow id).
 inline std::uint64_t digestOfBytes(const void* data, std::size_t n) {
   DigestAccumulator d;
   d.addBytes(data, n);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 namespace lpa::obs {
@@ -41,14 +42,26 @@ void atomicWriteFile(const std::string& path, const std::string& data) {
   }
 }
 
-void durableAppendLine(const std::string& path, const std::string& data) {
+void durableAppend(const std::string& path, const std::string& data) {
   std::FILE* f = std::fopen(path.c_str(), "a");
   if (!f) {
-    throw std::runtime_error("durableAppendLine: cannot open " + path);
+    throw std::runtime_error("durableAppend: cannot open " + path);
   }
   const bool ok = writeAll(f, data);
   if (std::fclose(f) != 0 || !ok) {
-    throw std::runtime_error("durableAppendLine: short write to " + path);
+    throw std::runtime_error("durableAppend: short write to " + path);
+  }
+}
+
+void durableTruncate(const std::string& path, std::uint64_t size) {
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  if (fd < 0) {
+    throw std::runtime_error("durableTruncate: cannot open " + path);
+  }
+  const bool ok = ::ftruncate(fd, static_cast<off_t>(size)) == 0 &&
+                  ::fsync(fd) == 0;
+  if (::close(fd) != 0 || !ok) {
+    throw std::runtime_error("durableTruncate: cannot truncate " + path);
   }
 }
 

@@ -4,7 +4,7 @@
 //
 // The crash model: the process can die at any instruction (SIGKILL, OOM
 // kill, node preemption). A reader that later opens the file must never
-// observe a half-written document.
+// trust a half-written document.
 //
 //   * atomicWriteFile gives all-or-nothing replacement: the bytes go to a
 //     temp file in the same directory, are flushed and fsync'd, and the
@@ -12,12 +12,15 @@
 //     reader sees either the complete old content or the complete new
 //     content, never a mix. A crash mid-write leaves at most a stale
 //     "<path>.tmp.<pid>" behind.
-//   * durableAppendLine gives at-most-one-torn-tail appends for JSONL
-//     ledgers: the line is appended and fsync'd before close, so once the
-//     call returns the line survives power loss, and a crash mid-append
-//     can only tear the *last* line (which ledger readers skip with a
-//     warning — tools/lpa_dashboard.py, tools/leakage_gate.py).
+//   * durableAppend gives at-most-one-torn-tail appends for logs: the
+//     bytes are appended and fsync'd before close, so once the call
+//     returns they survive power loss, and a crash mid-append can only
+//     tear the *last* record. JSONL ledger readers skip a torn last line
+//     with a warning (tools/lpa_dashboard.py, tools/leakage_gate.py); the
+//     checkpoint loader stops before a torn or corrupt record, and the
+//     writer cuts that tail away with durableTruncate before it appends.
 
+#include <cstdint>
 #include <string>
 
 namespace lpa::obs {
@@ -26,9 +29,13 @@ namespace lpa::obs {
 /// Throws std::runtime_error on IO failure; the target is left untouched.
 void atomicWriteFile(const std::string& path, const std::string& data);
 
-/// Appends `data` (the caller includes the trailing newline) to `path`,
-/// creating it if absent, and fsyncs before closing so the append is
-/// durable when the call returns. Throws std::runtime_error on IO failure.
-void durableAppendLine(const std::string& path, const std::string& data);
+/// Appends `data` to `path`, creating it if absent, and fsyncs before
+/// closing so the append is durable when the call returns. Throws
+/// std::runtime_error on IO failure.
+void durableAppend(const std::string& path, const std::string& data);
+
+/// Cuts `path` to its first `size` bytes and fsyncs. Throws
+/// std::runtime_error on IO failure.
+void durableTruncate(const std::string& path, std::uint64_t size);
 
 }  // namespace lpa::obs

@@ -103,7 +103,7 @@ void RunReport::appendTo(const std::string& path) const {
   Json line = Json::object();
   line["schema"] = ledgerSchemaId();
   line["report"] = toJson();
-  durableAppendLine(path, line.dump(-1) + "\n");
+  durableAppend(path, line.dump(-1) + "\n");
 }
 
 std::string RunReport::validate(const Json& j) {

@@ -162,42 +162,82 @@ TEST(AcquireRange, SlicesConcatenateToFullAcquire) {
 
 // ----------------------------------------------------------- checkpoints
 
-jobs::Checkpoint sampleCheckpoint() {
-  jobs::Checkpoint cp;
-  cp.fingerprint = 0xFEEDFACE12345678ULL;
-  cp.seed = 42;
-  cp.numSamples = 3;
-  cp.groupTraces = 2;
-  cp.groupsTotal = 5;
-  cp.completedGroups = 2;
-  cp.groupDigests = {11, 22};
-  cp.lineage = {"g1/5:aa", "g2/5:bb"};
-  cp.traces = TraceSet(3);
-  cp.traces.add(4, {1.0, 2.0, 3.0});
-  cp.traces.add(9, {0.5, -0.25, 1e-12});
-  cp.traces.add(0, {0.0, 0.0, 7.0});
-  cp.traces.add(15, {-1.0, 2.5, 3.5});
-  return cp;
+// Three groups of 2, 2 and 1 traces (the last one partial), 3 samples
+// each.
+constexpr jobs::CheckpointHeader kSampleHeader{0xFEEDFACE12345678ULL, 42,
+                                               /*numSamples=*/3,
+                                               /*groupTraces=*/2,
+                                               /*totalTraces=*/5};
+constexpr std::size_t kHeaderBytes = 48;
+
+TraceSet sampleTraces() {
+  TraceSet ts(3);
+  ts.add(4, {1.0, 2.0, 3.0});
+  ts.add(9, {0.5, -0.25, 1e-12});
+  ts.add(0, {0.0, 0.0, 7.0});
+  ts.add(15, {-1.0, 2.5, 3.5});
+  ts.add(7, {-0.0, 1e300, -2.0});
+  return ts;
+}
+
+/// Bytes of the record of a group of `traces` traces: a label byte and
+/// the samples per trace, then the group digest.
+std::size_t recordBytes(std::size_t traces, std::uint32_t numSamples) {
+  return traces * (1 + numSamples * sizeof(double)) + sizeof(std::uint64_t);
+}
+
+/// Writes the sample checkpoint with all three groups; returns the file
+/// length after the header and after each record.
+std::vector<std::size_t> writeSampleCheckpoint(const std::string& path) {
+  jobs::startCheckpoint(path, kSampleHeader);
+  std::vector<std::size_t> ends{readFile(path).size()};
+  const TraceSet ts = sampleTraces();
+  for (std::size_t begin = 0; begin < ts.size(); begin += 2) {
+    jobs::appendCheckpointGroup(path, ts, begin,
+                                std::min<std::size_t>(begin + 2, ts.size()));
+    ends.push_back(readFile(path).size());
+  }
+  return ends;
+}
+
+/// Checks that `cp` holds exactly the first `groups` sample groups.
+void expectSamplePrefix(const jobs::Checkpoint& cp, std::size_t groups,
+                        std::size_t bytes) {
+  const TraceSet all = sampleTraces();
+  const std::size_t n = std::min<std::size_t>(2 * groups, all.size());
+  TraceSet expected(3);
+  jobs::DigestAccumulator prefix;
+  std::vector<std::string> lineage;
+  for (std::size_t k = 1; k <= groups; ++k) {
+    prefix.addRange(all, 2 * (k - 1), std::min<std::size_t>(2 * k, n));
+    lineage.push_back(jobs::lineageEntry(k, 3, prefix));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    expected.add(all.label(i),
+                 std::vector<double>(all.trace(i), all.trace(i) + 3));
+  }
+  EXPECT_TRUE(cp.header == kSampleHeader);
+  EXPECT_EQ(cp.completedGroups, groups);
+  EXPECT_EQ(cp.bytes, bytes);
+  EXPECT_EQ(cp.lineage, lineage);
+  EXPECT_EQ(cp.prefix.value(), prefix.value());
+  EXPECT_TRUE(sameTraceSet(cp.traces, expected));
 }
 
 TEST(Checkpoint, SaveLoadRoundTrips) {
   const std::string path = tmpPath("lpa_ckpt_roundtrip.bin");
-  const jobs::Checkpoint cp = sampleCheckpoint();
-  jobs::saveCheckpoint(path, cp);
+  const std::vector<std::size_t> ends = writeSampleCheckpoint(path);
+  ASSERT_EQ(ends.size(), 4u);
+  EXPECT_EQ(ends[0], kHeaderBytes);
+  for (std::size_t k = 1; k < ends.size(); ++k) {
+    EXPECT_EQ(ends[k] - ends[k - 1], recordBytes(k < 3 ? 2 : 1, 3)) << k;
+  }
 
   std::string whyNot = "unset";
   const auto back = jobs::loadCheckpoint(path, &whyNot);
   ASSERT_TRUE(back.has_value()) << whyNot;
   EXPECT_EQ(whyNot, "");
-  EXPECT_EQ(back->fingerprint, cp.fingerprint);
-  EXPECT_EQ(back->seed, cp.seed);
-  EXPECT_EQ(back->numSamples, cp.numSamples);
-  EXPECT_EQ(back->groupTraces, cp.groupTraces);
-  EXPECT_EQ(back->groupsTotal, cp.groupsTotal);
-  EXPECT_EQ(back->completedGroups, cp.completedGroups);
-  EXPECT_EQ(back->groupDigests, cp.groupDigests);
-  EXPECT_EQ(back->lineage, cp.lineage);
-  EXPECT_TRUE(sameTraceSet(back->traces, cp.traces));
+  expectSamplePrefix(*back, 3, ends.back());
   std::remove(path.c_str());
 }
 
@@ -208,57 +248,74 @@ TEST(Checkpoint, MissingFileIsAbsent) {
   EXPECT_EQ(whyNot, "no checkpoint file");
 }
 
+// Only header damage makes a file load as absent: any flipped header byte
+// (magic, a field, or the checksum), or bytes after the magic that are
+// not a header.
 TEST(Checkpoint, TornAndCorruptFilesRejected) {
   const std::string path = tmpPath("lpa_ckpt_torn.bin");
-  jobs::saveCheckpoint(path, sampleCheckpoint());
+  writeSampleCheckpoint(path);
   const std::string bytes = readFile(path);
-  ASSERT_GT(bytes.size(), 32u);
-
-  // A torn tail (crash mid-write without the atomic rename) must load as
-  // "absent", never as a shorter run.
-  writeFile(path, bytes.substr(0, bytes.size() / 2));
   std::string whyNot;
-  EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot));
-  EXPECT_NE(whyNot, "");
+  for (std::size_t i = 0; i < kHeaderBytes; ++i) {
+    std::string corrupt = bytes;
+    corrupt[i] ^= 0x01;
+    writeFile(path, corrupt);
+    EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot)) << "byte " << i;
+    EXPECT_NE(whyNot, "") << "byte " << i;
+  }
 
-  // A single flipped payload byte fails the whole-file checksum.
-  std::string corrupt = bytes;
-  corrupt[bytes.size() / 2] ^= 0x40;
-  writeFile(path, corrupt);
-  EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot));
-  EXPECT_NE(whyNot, "");
-
-  // Garbage that keeps the magic but not the structure.
   writeFile(path, std::string(jobs::kCheckpointMagic,
                               sizeof(jobs::kCheckpointMagic)) +
-                      " this is not a checkpoint");
+                      std::string(64, '?'));
   EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot));
+  EXPECT_EQ(whyNot, "header checksum mismatch");
   std::remove(path.c_str());
 }
 
-// A lineage entry is at least its 8-byte length, so a count above
-// remaining/8 is rejected before anything is reserved for it, even in a
-// file whose checksum is valid.
-TEST(Checkpoint, OversizedLineageCountRejected) {
-  const std::string path = tmpPath("lpa_ckpt_lineage.bin");
-  for (const std::uint64_t count : {9ULL, 64ULL, ~0ULL}) {
-    std::string bytes(jobs::kCheckpointMagic, sizeof(jobs::kCheckpointMagic));
-    appendU64(bytes, 0xFEEDFACE12345678ULL);  // fingerprint
-    appendU64(bytes, 42);                     // seed
-    const std::uint32_t numSamples = 3, groupTraces = 2;
-    bytes.append(reinterpret_cast<const char*>(&numSamples), 4);
-    bytes.append(reinterpret_cast<const char*>(&groupTraces), 4);
-    appendU64(bytes, 5);  // groups total
-    appendU64(bytes, 0);  // completed groups
-    appendU64(bytes, 0);  // group digests
-    appendU64(bytes, count);
-    bytes.append(64, '\0');  // room for 8 empty entries, not `count`
-    appendChecksum(bytes);
-    writeFile(path, bytes);
-
+// A crash can tear only the last append, so every cut of the file must
+// load as the whole records before the cut, and a cut inside the header
+// as absent.
+TEST(Checkpoint, EveryTruncationLoadsTheWholeRecordsThatFit) {
+  const std::string path = tmpPath("lpa_ckpt_truncations.bin");
+  const std::vector<std::size_t> ends = writeSampleCheckpoint(path);
+  const std::string bytes = readFile(path);
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    writeFile(path, bytes.substr(0, len));
     std::string whyNot;
-    EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot)) << count;
-    EXPECT_EQ(whyNot, "lineage count inconsistent") << count;
+    const auto cp = jobs::loadCheckpoint(path, &whyNot);
+    if (len < kHeaderBytes) {
+      EXPECT_FALSE(cp) << len;
+      EXPECT_EQ(whyNot, "file too short for a header") << len;
+      continue;
+    }
+    ASSERT_TRUE(cp) << len << ": " << whyNot;
+    std::size_t groups = 0;
+    while (groups + 1 < ends.size() && ends[groups + 1] <= len) ++groups;
+    SCOPED_TRACE("length " + std::to_string(len));
+    expectSamplePrefix(*cp, groups, ends[groups]);
+  }
+  std::remove(path.c_str());
+}
+
+// Every byte of a record is under its digest (or is the digest), so one
+// flipped byte in record k adopts exactly groups 0..k-1.
+TEST(Checkpoint, FlippedRecordByteAdoptsTheGroupsBefore) {
+  const std::string path = tmpPath("lpa_ckpt_flips.bin");
+  const std::vector<std::size_t> ends = writeSampleCheckpoint(path);
+  const std::string bytes = readFile(path);
+  for (std::size_t k = 0; k + 1 < ends.size(); ++k) {
+    for (std::size_t i = ends[k]; i < ends[k + 1]; ++i) {
+      for (const char mask : {'\x01', '\x80'}) {
+        std::string corrupt = bytes;
+        corrupt[i] ^= mask;
+        writeFile(path, corrupt);
+        const auto cp = jobs::loadCheckpoint(path);
+        ASSERT_TRUE(cp) << "byte " << i;
+        SCOPED_TRACE("record " + std::to_string(k) + " byte " +
+                     std::to_string(i));
+        expectSamplePrefix(*cp, k, ends[k]);
+      }
+    }
   }
   std::remove(path.c_str());
 }
@@ -380,9 +437,10 @@ TEST(ResilientAcquire, ForeignCheckpointIsIgnored) {
   std::remove(path.c_str());
 }
 
-// A checkpoint of the earlier format (`LPACKPT1`: the same fields plus a
-// trailing estimator snapshot) fails the magic check; the run starts fresh
-// and replaces it with a current one.
+// A checkpoint of the earlier snapshot format (`LPACKPT2`: geometry,
+// group digests, lineage and every committed trace, closed by a
+// whole-file checksum), even one of this very run, fails the magic check;
+// the run starts fresh and replaces it with a current log.
 TEST(ResilientAcquire, ParentFormatCheckpointIsIgnored) {
   ExperimentConfig ecfg = smallConfig();
   const std::string path = tmpPath("lpa_resume_parent_format.ckpt");
@@ -392,14 +450,33 @@ TEST(ResilientAcquire, ParentFormatCheckpointIsIgnored) {
   job.stopAfterGroups = 2;
   SboxExperiment first(SboxStyle::Opt, ecfg);
   (void)first.resilientAcquireAt(0.0, job);
+  const auto drained = jobs::loadCheckpoint(path);
+  ASSERT_TRUE(drained.has_value());
+  ASSERT_EQ(drained->completedGroups, 2u);
 
-  std::string bytes = readFile(path);
-  ASSERT_GT(bytes.size(), 16u);
-  bytes.resize(bytes.size() - sizeof(std::uint64_t));  // drop the checksum
-  bytes[7] = '1';
-  const std::string snapshot(256, '\x5a');
-  appendU64(bytes, snapshot.size());
-  bytes += snapshot;
+  const jobs::CheckpointHeader& h = drained->header;
+  const TraceSet& ts = drained->traces;
+  std::string bytes = "LPACKPT2";
+  appendU64(bytes, h.fingerprint);
+  appendU64(bytes, h.seed);
+  bytes.append(reinterpret_cast<const char*>(&h.numSamples), 4);
+  bytes.append(reinterpret_cast<const char*>(&h.groupTraces), 4);
+  appendU64(bytes, 4);  // groups total
+  appendU64(bytes, 2);  // completed groups
+  appendU64(bytes, 2);  // group digests
+  appendU64(bytes, jobs::digestOfRange(ts, 0, 32));
+  appendU64(bytes, jobs::digestOfRange(ts, 32, 64));
+  appendU64(bytes, drained->lineage.size());
+  for (const std::string& entry : drained->lineage) {
+    appendU64(bytes, entry.size());
+    bytes += entry;
+  }
+  appendU64(bytes, ts.size());
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    bytes.push_back(static_cast<char>(ts.label(i)));
+    bytes.append(reinterpret_cast<const char*>(ts.trace(i)),
+                 ts.numSamples() * sizeof(double));
+  }
   appendChecksum(bytes);
   writeFile(path, bytes);
   std::string whyNot;
@@ -418,6 +495,80 @@ TEST(ResilientAcquire, ParentFormatCheckpointIsIgnored) {
   const auto current = jobs::loadCheckpoint(path, &whyNot);
   ASSERT_TRUE(current.has_value()) << whyNot;
   EXPECT_EQ(current->completedGroups, 4u);
+  EXPECT_EQ(current->bytes, readFile(path).size());
+  std::remove(path.c_str());
+}
+
+// A checkpoint torn mid-record (a kill during an append, or a lost tail)
+// resumes from its whole groups: the torn bytes are cut away before the
+// next append, and the traces, the estimate and the final file equal the
+// uninterrupted run's.
+TEST(ResilientAcquire, TornCheckpointResumesBitIdentically) {
+  ExperimentConfig ecfg = smallConfig();
+  jobs::JobConfig job;
+  job.groupTraces = 32;  // 4 groups
+  job.statsOpt = kFourFolds;
+  const std::string cleanPath = tmpPath("lpa_resume_torn_clean.ckpt");
+  job.checkpointPath = cleanPath;
+  SboxExperiment plain(SboxStyle::Rsm, ecfg);
+  const jobs::ResilientResult expected = plain.resilientAcquireAt(0.0, job);
+
+  const std::string path = tmpPath("lpa_resume_torn.ckpt");
+  job.checkpointPath = path;
+  job.stopAfterGroups = 3;
+  SboxExperiment first(SboxStyle::Rsm, ecfg);
+  (void)first.resilientAcquireAt(0.0, job);
+  const std::string bytes = readFile(path);
+  writeFile(path, bytes.substr(0, bytes.size() - 100));  // tears group 2
+  const auto torn = jobs::loadCheckpoint(path);
+  ASSERT_TRUE(torn.has_value());
+  EXPECT_EQ(torn->completedGroups, 2u);
+
+  job.stopAfterGroups = 0;
+  SboxExperiment second(SboxStyle::Rsm, ecfg);
+  const jobs::ResilientResult res = second.resilientAcquireAt(0.0, job);
+  EXPECT_TRUE(res.resilience.resumed);
+  EXPECT_EQ(res.resilience.groupsCompleted, 4u);
+  EXPECT_TRUE(sameTraceSet(res.traces, expected.traces));
+  EXPECT_TRUE(sameEstimate(res.estimate, expected.estimate));
+  EXPECT_EQ(res.resilience.lineage, expected.resilience.lineage);
+  EXPECT_EQ(readFile(path), readFile(cleanPath));
+  std::remove(path.c_str());
+  std::remove(cleanPath.c_str());
+}
+
+// The checkpoint only ever grows by one record per committed group: the
+// bytes seen before group g + 1 start with the bytes seen before group g
+// and are exactly one record longer.
+TEST(ResilientAcquire, CheckpointGrowsByOneAppendedRecordPerGroup) {
+  ExperimentConfig ecfg = smallConfig();
+  const std::string path = tmpPath("lpa_resume_append_only.ckpt");
+  const std::uint32_t numSamples = ecfg.power.numSamples;
+  std::vector<std::string> seen;  // file bytes before each group
+  jobs::JobConfig job;
+  job.checkpointPath = path;
+  job.groupTraces = 48;  // 128 traces -> groups of 48/48/32
+  job.beforeGroupHook = [&](std::uint64_t group, std::uint32_t, SimEngine) {
+    EXPECT_EQ(group, seen.size());
+    seen.push_back(readFile(path));
+  };
+  SboxExperiment exp(SboxStyle::Opt, ecfg);
+  const jobs::ResilientResult res = exp.resilientAcquireAt(0.0, job);
+  seen.push_back(readFile(path));
+
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0].size(), kHeaderBytes);
+  for (std::size_t g = 0; g + 1 < seen.size(); ++g) {
+    const std::size_t groupSize = g < 2 ? 48 : 32;
+    EXPECT_EQ(seen[g + 1].size(),
+              seen[g].size() + recordBytes(groupSize, numSamples))
+        << "group " << g;
+    EXPECT_EQ(seen[g + 1].compare(0, seen[g].size(), seen[g]), 0)
+        << "group " << g;
+  }
+  const auto cp = jobs::loadCheckpoint(path);
+  ASSERT_TRUE(cp.has_value());
+  EXPECT_TRUE(sameTraceSet(cp->traces, res.traces));
   std::remove(path.c_str());
 }
 
@@ -696,23 +847,30 @@ TEST(ResilientAcquire, WindowsSpanGroupsBetweenCheckpoints) {
   SboxExperiment plain(SboxStyle::Opt, ecfg);
   const TraceSet expected = plain.acquireAt(0.0);
 
-  // 128 traces in 11 groups of 12 (the last one of 8), a checkpoint every
-  // 4 groups, drained after 6. One worker's window floor is 11 groups, so
-  // the first session calls [0, 4) and [4, 6), the resumed one [6, 10) and
-  // [10, 11): every window ends at a checkpoint write or the drain point.
-  const std::string path = tmpPath("lpa_resume_windows.ckpt");
+  // 128 traces in 11 groups of 12 (the last one of 8). One worker's window
+  // floor is 11 groups, so a plain run makes one call; a checkpointed one
+  // makes one call per group: 6 before it drains, 5 after it resumes.
   jobs::JobConfig job;
-  job.checkpointPath = path;
   job.groupTraces = 12;
-  job.checkpointEveryGroups = 4;
-  job.stopAfterGroups = 6;
   job.statsOpt = kFourFolds;
+  {
+    SboxExperiment exp(SboxStyle::Opt, ecfg);
+    const std::uint64_t since = obs::EventJournal::global().emitted();
+    const jobs::ResilientResult once = exp.resilientAcquireAt(0.0, job);
+    EXPECT_EQ(acquireCallsSince(since), 1u);
+    EXPECT_TRUE(sameTraceSet(once.traces, expected));
+  }
+
+  const std::string path = tmpPath("lpa_resume_windows.ckpt");
+  job.checkpointPath = path;
+  job.stopAfterGroups = 6;
   jobs::ResilientResult res;
   for (int session = 0; session < 2; ++session) {
     SboxExperiment exp(SboxStyle::Opt, ecfg);
     const std::uint64_t since = obs::EventJournal::global().emitted();
     res = exp.resilientAcquireAt(0.0, job);
-    EXPECT_EQ(acquireCallsSince(since), 2u) << "session " << session;
+    EXPECT_EQ(acquireCallsSince(since), session == 0 ? 6u : 5u)
+        << "session " << session;
     EXPECT_EQ(res.traces.size(), session == 0 ? 72u : 128u);
     job.stopAfterGroups = 0;
   }
@@ -722,15 +880,17 @@ TEST(ResilientAcquire, WindowsSpanGroupsBetweenCheckpoints) {
   stream.addTraceSet(expected);
   EXPECT_EQ(res.estimate.total, stream.estimate().total);
 
-  // The lineage a run committing one group per call writes: the digest of
-  // the committed prefix at every checkpoint (cadence and drain).
+  // One lineage entry per committed group, across both sessions: the
+  // digest of the prefix that group completes.
   std::vector<std::string> lineage;
-  for (std::size_t groups : {4u, 6u, 10u, 11u}) {
-    jobs::DigestAccumulator prefix;
-    prefix.addRange(expected, 0, std::min<std::size_t>(groups * 12, 128));
-    lineage.push_back("g" + std::to_string(groups) + "/11:" + prefix.hex());
+  jobs::DigestAccumulator prefix;
+  for (std::size_t groups = 1; groups <= 11; ++groups) {
+    prefix.addRange(expected, (groups - 1) * 12,
+                    std::min<std::size_t>(groups * 12, 128));
+    lineage.push_back(jobs::lineageEntry(groups, 11, prefix));
   }
   EXPECT_EQ(res.resilience.lineage, lineage);
+  EXPECT_EQ(lineage.back().rfind("g11/11:", 0), 0u);
   std::remove(path.c_str());
 }
 

@@ -399,6 +399,12 @@ TEST(TelemetryServer, ConcurrentScrapingKeepsAcquisitionBitIdentical) {
       }
     });
   }
+  // The acquisition is short enough to finish before either scraper's
+  // first GET returns, so it starts only once a scrape has completed:
+  // the scrapers are then certain to be running while it runs.
+  for (int spins = 0; scrapes.load() == 0 && spins < 1000; ++spins) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   const TraceSet scraped = acquireTraces();
   stop.store(true);
   for (std::thread& s : scrapers) s.join();
